@@ -11,8 +11,9 @@ measures every scoring backend on the same workload:
   (vectorized seed filter, row-scan aligner, lazy self-scores);
 * **pool** — ``align_backend=pool``, ``n_jobs=4`` (sharded alignment over
   a shared-memory arena);
-* **device** — ``align_backend=device`` (length-binned packing + ramped
-  row-scan kernels on the simulated device, prefetch overlap);
+* **device** — ``align_backend=device`` (length-binned packing +
+  anti-diagonal wavefront kernels on the simulated device, bins fanned
+  out across forked workers on a multi-core host);
 * **auto** — ``align_backend=auto``, ``n_jobs=0`` (the hybrid scheduler
   picks; by this point it schedules from this run's measured rates).
 
@@ -40,7 +41,7 @@ from repro.obs import observe, use_obs
 from repro.pipeline.workloads import make_homology_workload
 from repro.sequence.kmer_filter import kmer_codes
 from repro.sequence.scoring import BLOSUM62
-from repro.sequence.smith_waterman import _extended_matrix, self_score
+from repro.sequence.smith_waterman import self_score
 from repro.sequence.homology import build_homology_graph
 from repro.util.tables import format_table, table_payload
 
@@ -57,6 +58,14 @@ HEADERS = ["variant", "seed filter", "self-scores", "alignment",
 # --------------------------------------------------------------------- #
 
 _PAD = 21  # ALPHABET_SIZE
+_PAD_SCORE = -(1 << 20)
+
+
+def _extended_matrix(matrix):
+    """Scoring matrix with an extra PAD row/column (int32)."""
+    m = np.full((_PAD + 1, _PAD + 1), _PAD_SCORE, dtype=np.int32)
+    m[:_PAD, :_PAD] = matrix.astype(np.int32)
+    return m
 
 
 def _legacy_pad_block(seqs):
@@ -270,7 +279,7 @@ def test_homology_runtime(report_writer, scale):
         table + "\n\n"
         "pGraph's observation holds: alignment dominates the stage cost, so\n"
         "it is the stage worth offloading — the device backend's binned\n"
-        f"row-scan wastes {padding_waste:.1%} of its padded DP cells and\n"
+        f"wavefront wastes {padding_waste:.1%} of its padded DP cells and\n"
         f"sustains {dp_cells_per_s / 1e6:.0f}M DP cells/s.",
         data={
             "tables": [table_payload(title, HEADERS, rows)],

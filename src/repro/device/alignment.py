@@ -2,8 +2,8 @@
 
 pGraph keeps "the optimality-guaranteeing Smith-Waterman alignment
 algorithm" on the CPU side and parallelizes it across processors; this
-module moves the same batched row-scan DP onto the simulated device, the
-way the shingling hot loop already runs there.  The structure mirrors the
+module moves the same batched DP onto the simulated device, the way the
+shingling hot loop already runs there.  The structure mirrors the
 shingling offload end to end:
 
 * the sequence set is uploaded **once** as a flat CSR residue buffer
@@ -14,7 +14,7 @@ shingling offload end to end:
   (:func:`repro.device.batching.plan_alignment_bins`) so the padded DP
   rectangle wastes a bounded fraction of cells (``padding_waste``);
 * each bin runs *pack* (a CSR gather into padded transposed blocks) then
-  *rowscan* kernels whose state lives in the device
+  one *wavefront* kernel whose state lives in the device
   :class:`~repro.device.memory.ScratchPool` — zero fresh allocations in
   the steady state — with every launch costed through the
   :class:`~repro.device.timingmodels.KernelCostModel` and every transfer
@@ -23,25 +23,32 @@ shingling offload end to end:
   ``sync`` (one bin at a time), ``prefetch`` (pack bin *i+1* on a copy
   thread while bin *i* scores, via
   :func:`~repro.core.execplan.double_buffer`) or ``multistream``
-  (concurrent bins on disjoint output slices).  All plans are
+  (concurrent bins on disjoint output slices).  When the bins carry enough
+  work to repay a process start-up, a single device instead fans them out
+  across forked workers, one per usable core (:data:`FANOUT_MIN_CELLS`);
+  the parent keeps all device accounting.  All schedules are
   bit-identical.
 
-The kernels themselves are a *ramped-domain* reformulation of the host
-row scan (:mod:`repro.sequence.smith_waterman`): keeping
-``H'[j] = H[j] + step * j`` bakes the left-gap ramp into the score matrix,
-so the per-row ramp-add / ramp-subtract / shift passes disappear and the
-left-gap chain is a plain prefix max — computed by a work-efficient
-two-level blocked scan (the standard GPU scan shape: intra-block upsweep,
-sequential block carry, carry application).  Scores are bit-identical to
+The kernels advance one **anti-diagonal** at a time.  Cell ``(i, j)`` on
+diagonal ``d = i + j`` reads only diagonals ``d - 1`` (up, left) and
+``d - 2`` (diagonal), so every step is a handful of contiguous slice
+operations over the ``(diagonal cells, pairs)`` block — substitution
+gather, diagonal add, max of up/left minus the gap, clamp at zero, running
+max — with no sequential dependency inside a step and no prefix scan.  The
+state is indexed by the short sequence's row ``i`` and kept in three
+rotating diagonal buffers (plus two each for the Gotoh ``E``/``F``
+matrices); boundary cells are never written, so they keep their initial
+zero (``H``) or negative floor (``E``/``F``).  Scores are bit-identical to
 :func:`~repro.sequence.smith_waterman.batch_smith_waterman` /
-:func:`~repro.sequence.smith_waterman.batch_smith_waterman_affine` for
-both gap models: the per-cell candidates are the same integers shifted by
-an invertible per-column offset, and the bin planner keys its dtype cuts
-on the shared :func:`~repro.sequence.smith_waterman.dp_dtype` rule.
+:func:`~repro.sequence.smith_waterman.batch_smith_waterman_affine`: the
+recurrences are the textbook ones, evaluated in a different order, and the
+bin planner keys its dtype cuts on the shared
+:func:`~repro.sequence.smith_waterman.dp_dtype` rule.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -75,26 +82,23 @@ from repro.util.timer import BUCKET_GPU
 _PAD = ALPHABET_SIZE
 _MAT_DIM = ALPHABET_SIZE + 1
 
-#: Rows per scan block of the two-level prefix max (one "thread block").
-BLK = 32
+#: Fan bins out across forked workers only when their padded DP cells
+#: exceed this: ~0.25 s of in-process kernel time at the int16 wavefront's
+#: ~4e8 cells/s (2-core x86 host), over ten times the ~20 ms start-up of a
+#: 2-worker fork pool.
+FANOUT_MIN_CELLS = 100_000_000
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on (its affinity mask, not the host's)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity API (macOS)
+        return os.cpu_count() or 1
 
 
 def _neg_floor(dtype: np.dtype):
     return dtype.type(_I16_NEG if dtype == np.int16 else -(1 << 26))
-
-
-def ramped_score_matrix(matrix: np.ndarray, dtype: np.dtype,
-                        step: int) -> np.ndarray:
-    """Flattened padded score matrix with the scan step baked in.
-
-    In the ramped domain every diagonal candidate picks up exactly ``+step``
-    relative to its predecessor column, so adding ``step`` to every matrix
-    entry (pad entries included — they stay hugely negative) turns the
-    per-row ramp bookkeeping into a no-op.
-    """
-    m = _score_matrix(matrix, dtype)
-    m += dtype.type(step)
-    return m.ravel()
 
 
 def pack_bin_blocks(residues: np.ndarray, offsets: np.ndarray,
@@ -107,8 +111,8 @@ def pack_bin_blocks(residues: np.ndarray, offsets: np.ndarray,
     short sequences' symbols pre-scaled to score-matrix row offsets, ``bt``
     the long block transposed to ``(max_long, B)``.  ``residues`` must be
     the int16-widened device buffer (see :meth:`DeviceAligner.
-    upload_sequences`): row ``i``'s substitution scores are then one
-    ``bt + arow[i]`` add plus one flat ``take`` — the composite index never
+    upload_sequences`): a cell's substitution score is then one
+    ``bt + arow`` add plus one flat ``take`` — the composite index never
     exceeds ``22 * 22``, so the whole gather stays in int16 lanes.  Pure
     array ops (one strided gather per block), no per-pair Python loop.
     """
@@ -135,145 +139,122 @@ def _gather_padded(residues: np.ndarray, offsets: np.ndarray,
     return block
 
 
-def _scan_blocked(v: np.ndarray, carry: np.ndarray) -> None:
-    """Two-level blocked prefix max down the row axis, in place.
-
-    ``v`` is the DP row reshaped ``(nb, BLK, B)``; ``carry`` is ``(nb, B)``
-    scratch.  Level 1 runs the doubling scan inside each block
-    (``log2(BLK)`` whole-array passes); level 2 accumulates block totals
-    sequentially and applies ``carry[i-1]`` to block ``i`` — exactly
-    ``np.maximum.accumulate`` down axis 0 of the flat view, but every pass
-    is a contiguous SIMD maximum instead of a strided scalar scan.
-    Padding rows live only in the final block (the caller pads to a BLK
-    multiple), and a prefix max only flows forward, so their garbage never
-    reaches real rows.
-    """
-    k = 1
-    while k < BLK:
-        np.maximum(v[:, k:], v[:, :-k], out=v[:, k:])
-        k <<= 1
-    np.copyto(carry, v[:, -1])
-    for i in range(1, carry.shape[0]):
-        np.maximum(carry[i], carry[i - 1], out=carry[i])
-    np.maximum(v[1:], carry[:-1, None, :], out=v[1:])
+def _diagonals(la: int, lb: int):
+    """``(lo, hi, b_lo)`` per anti-diagonal ``d = i + j`` of an
+    ``la x lb`` DP (1-based cells): rows ``lo <= i < hi`` are on it, and
+    their long-sequence symbols are rows ``b_lo ..`` of the reversed
+    long block."""
+    for d in range(2, la + lb + 1):
+        lo = max(1, d - lb)
+        yield lo, min(la, d - 1) + 1, lb - d + lo
 
 
-def rowscan_linear_binned(arow: np.ndarray, bt: np.ndarray,
-                          matrix: np.ndarray, gap: int, dtype: np.dtype,
-                          pool: ScratchPool) -> np.ndarray:
-    """Ramped-domain linear-gap row scan over one packed bin.
+def _substitution(arow, brev, lo, hi, b_lo, mat_flat, idx, sub):
+    """Substitution scores of diagonal cells ``lo <= i < hi`` into
+    ``sub[:hi - lo]``: one int16 index add plus one flat ``take``."""
+    w = hi - lo
+    np.add(arow[lo - 1:hi - 1], brev[b_lo:b_lo + w], out=idx[:w])
+    np.take(mat_flat, idx[:w], out=sub[:w], mode="clip")
+    return sub[:w]
 
-    State is ``H'[j] = H[j] + gap * j`` transposed to ``(pad_lb, B)``:
 
-    * diagonal candidate: ``H'[i-1][j-1] + (sub[j] + gap)`` — the ``+gap``
-      is baked into the matrix (:func:`ramped_score_matrix`);
-    * up candidate: ``H'[i-1][j] - gap``;
-    * zero candidate: the ramp itself;
-    * left chain: a plain prefix max (:func:`_scan_blocked`).
+def wavefront_linear_binned(arow: np.ndarray, bt: np.ndarray,
+                            matrix: np.ndarray, gap: int, dtype: np.dtype,
+                            pool: ScratchPool) -> np.ndarray:
+    """Anti-diagonal linear-gap Smith-Waterman over one packed bin.
 
-    ``hmax`` tracks the pre-scan candidates only — sound because an optimal
-    local alignment never ends in a gap — and the final scores are
-    ``max_j (hmax'[j] - gap * j)``.  Bit-identical to
-    :func:`repro.sequence.smith_waterman._rowscan_linear`.
+    ``H_d[i] = max(0, H_{d-2}[i-1] + s(i, d-i), max(H_{d-1}[i-1],
+    H_{d-1}[i]) - gap)``: three rotating ``(la + 1, B)`` diagonal buffers,
+    each step a run of contiguous slice ops.  Cells past a lane's true
+    lengths score PAD (hugely negative), so they can never exceed the
+    lane's best real cell.  Bit-identical to
+    :func:`repro.sequence.smith_waterman.sw_score_linear` per pair.
     """
     la, n_pairs = arow.shape
     lb = bt.shape[0]
-    nb = -(-lb // BLK)
-    pad_lb = nb * BLK
+    mat_flat = _score_matrix(matrix, dtype).ravel()
     g = dtype.type(gap)
-    neg = _neg_floor(dtype)
-    mat_flat = ramped_score_matrix(matrix, dtype, gap)
-    ramp = (np.arange(pad_lb) * gap).astype(dtype)[:, None]
-
-    h_prev = pool.take((pad_lb, n_pairs), dtype)
-    hmax = pool.take((pad_lb, n_pairs), dtype)
-    tmp = pool.take((pad_lb, n_pairs), dtype)
-    carry = pool.take((nb, n_pairs), dtype)
-    idx16 = pool.take((lb, n_pairs), np.int16)
-    sub = pool.take((lb, n_pairs), dtype)
-
-    h_prev[:lb] = ramp[:lb]
-    h_prev[lb:] = neg
-    np.copyto(hmax, h_prev)
-    for i in range(la):
-        np.add(bt, arow[i][None, :], out=idx16)
-        np.take(mat_flat, idx16, out=sub, mode="clip")
-        np.add(h_prev[:lb - 1], sub[1:], out=tmp[1:lb])   # diagonal'
-        np.subtract(sub[0], g, out=tmp[0])                # j=0: prev H is 0
-        np.subtract(h_prev[:lb], g, out=sub)              # up' (sub reused)
-        np.maximum(tmp[:lb], sub, out=tmp[:lb])
-        np.maximum(tmp[:lb], ramp[:lb], out=tmp[:lb])     # zero candidate
-        tmp[lb:] = neg
-        np.maximum(hmax, tmp, out=hmax)
-        _scan_blocked(tmp.reshape(nb, BLK, n_pairs), carry)
-        h_prev, tmp = tmp, h_prev
-    np.subtract(hmax[:lb], ramp[:lb], out=hmax[:lb])
-    scores = hmax[:lb].max(axis=0).astype(np.int64) if la else \
-        np.zeros(n_pairs, dtype=np.int64)
-    pool.give(h_prev, hmax, tmp, carry, idx16, sub)
+    h0 = pool.take((la + 1, n_pairs), dtype)     # diagonal d (being built)
+    h1 = pool.take((la + 1, n_pairs), dtype)     # d - 1
+    h2 = pool.take((la + 1, n_pairs), dtype)     # d - 2
+    hmax = pool.take((la + 1, n_pairs), dtype)
+    zeros = pool.take((la, n_pairs), dtype)
+    brev = pool.take((lb, n_pairs), np.int16)
+    idx = pool.take((la, n_pairs), np.int16)
+    sub = pool.take((la, n_pairs), dtype)
+    for buf in (h0, h1, h2, hmax, zeros):
+        buf.fill(0)
+    np.copyto(brev, bt[::-1])
+    for lo, hi, b_lo in _diagonals(la, lb):
+        s = _substitution(arow, brev, lo, hi, b_lo, mat_flat, idx, sub)
+        cur = h0[lo:hi]
+        np.add(h2[lo - 1:hi - 1], s, out=cur)                # diagonal
+        np.maximum(h1[lo - 1:hi - 1], h1[lo:hi], out=s)      # up, left
+        np.subtract(s, g, out=s)
+        np.maximum(cur, s, out=cur)
+        # Clamp against a zero slab: NumPy's max with a broadcast scalar
+        # skips the SIMD loop and costs ~6x an array-array max.
+        np.maximum(cur, zeros[:hi - lo], out=cur)
+        np.maximum(hmax[lo:hi], cur, out=hmax[lo:hi])
+        h0, h1, h2 = h2, h0, h1
+    scores = hmax.max(axis=0).astype(np.int64)
+    pool.give(h0, h1, h2, hmax, zeros, brev, idx, sub)
     return scores
 
 
-def rowscan_affine_binned(arow: np.ndarray, bt: np.ndarray,
-                          matrix: np.ndarray, gap_open: int, gap_extend: int,
-                          dtype: np.dtype, pool: ScratchPool) -> np.ndarray:
-    """Ramped-domain Gotoh row scan over one packed bin.
+def wavefront_affine_binned(arow: np.ndarray, bt: np.ndarray,
+                            matrix: np.ndarray, gap_open: int,
+                            gap_extend: int, dtype: np.dtype,
+                            pool: ScratchPool) -> np.ndarray:
+    """Anti-diagonal Gotoh Smith-Waterman over one packed bin.
 
-    Same ramp trick with ``step = min(gap_open, gap_extend)`` (the F-chain
-    decay rate, see :func:`repro.sequence.smith_waterman._rowscan_affine`):
-    ``E`` stays elementwise per row in the ramped domain, the F chain is
-    ``F'[j] = scan'[j-1] - (gap_open - step)`` off the same blocked prefix
-    max.  Bit-identical to the host affine kernel.
+    ``E`` (gap ending in the long sequence) comes from the up cell,
+    ``F`` from the left cell, both on diagonal ``d - 1``:
+    ``E_d[i] = max(E_{d-1}[i-1] - extend, H_{d-1}[i-1] - open)``,
+    ``F_d[i] = max(F_{d-1}[i] - extend, H_{d-1}[i] - open)`` and
+    ``H_d[i] = max(0, H_{d-2}[i-1] + s, E_d[i], F_d[i])``.  The shared
+    ``H_{d-1} - open`` slab is computed once per step.  Bit-identical to
+    :func:`repro.sequence.smith_waterman.sw_score_affine` per pair.
     """
     la, n_pairs = arow.shape
     lb = bt.shape[0]
-    nb = -(-lb // BLK)
-    pad_lb = nb * BLK
-    step = min(gap_open, gap_extend)
+    mat_flat = _score_matrix(matrix, dtype).ravel()
     o = dtype.type(gap_open)
     e = dtype.type(gap_extend)
-    st = dtype.type(step)
-    fo = dtype.type(gap_open - step)
-    neg = _neg_floor(dtype)
-    mat_flat = ramped_score_matrix(matrix, dtype, step)
-    ramp = (np.arange(pad_lb) * step).astype(dtype)[:, None]
-
-    h_prev = pool.take((pad_lb, n_pairs), dtype)
-    hmax = pool.take((pad_lb, n_pairs), dtype)
-    tmp = pool.take((pad_lb, n_pairs), dtype)
-    scratch = pool.take((pad_lb, n_pairs), dtype)
-    e_row = pool.take((pad_lb, n_pairs), dtype)
-    carry = pool.take((nb, n_pairs), dtype)
-    idx16 = pool.take((lb, n_pairs), np.int16)
-    sub = pool.take((lb, n_pairs), dtype)
-
-    h_prev[:lb] = ramp[:lb]
-    h_prev[lb:] = neg
-    np.copyto(hmax, h_prev)
-    e_row[:] = neg
-    for i in range(la):
-        np.add(bt, arow[i][None, :], out=idx16)
-        np.take(mat_flat, idx16, out=sub, mode="clip")
-        # E'[i] = max(E'[i-1] - extend, H'[i-1] - open)
-        np.subtract(e_row[:lb], e, out=e_row[:lb])
-        np.subtract(h_prev[:lb], o, out=scratch[:lb])
-        np.maximum(e_row[:lb], scratch[:lb], out=e_row[:lb])
-        np.add(h_prev[:lb - 1], sub[1:], out=tmp[1:lb])   # diagonal'
-        np.subtract(sub[0], st, out=tmp[0])
-        np.maximum(tmp[:lb], e_row[:lb], out=tmp[:lb])
-        np.maximum(tmp[:lb], ramp[:lb], out=tmp[:lb])     # T'[i]
-        tmp[lb:] = neg
-        np.maximum(hmax, tmp, out=hmax)
-        np.copyto(scratch, tmp)
-        _scan_blocked(scratch.reshape(nb, BLK, n_pairs), carry)
-        h_prev, tmp = tmp, h_prev
-        # H' = max(T', F');  F'[j] = scan'[j-1] - (open - step).
-        np.subtract(scratch[:lb - 1], fo, out=scratch[:lb - 1])
-        np.maximum(h_prev[1:lb], scratch[:lb - 1], out=h_prev[1:lb])
-    np.subtract(hmax[:lb], ramp[:lb], out=hmax[:lb])
-    scores = hmax[:lb].max(axis=0).astype(np.int64) if la else \
-        np.zeros(n_pairs, dtype=np.int64)
-    pool.give(h_prev, hmax, tmp, scratch, e_row, carry, idx16, sub)
+    shape = (la + 1, n_pairs)
+    h0, h1, h2, hmax, opened = (pool.take(shape, dtype) for _ in range(5))
+    e0, e1, f0, f1 = (pool.take(shape, dtype) for _ in range(4))
+    zeros = pool.take((la, n_pairs), dtype)
+    brev = pool.take((lb, n_pairs), np.int16)
+    idx = pool.take((la, n_pairs), np.int16)
+    sub = pool.take((la, n_pairs), dtype)
+    for buf in (h0, h1, h2, hmax, zeros):
+        buf.fill(0)
+    for buf in (e0, e1, f0, f1):
+        buf.fill(_neg_floor(dtype))
+    np.copyto(brev, bt[::-1])
+    for lo, hi, b_lo in _diagonals(la, lb):
+        s = _substitution(arow, brev, lo, hi, b_lo, mat_flat, idx, sub)
+        cur = h0[lo:hi]
+        np.add(h2[lo - 1:hi - 1], s, out=cur)                # diagonal
+        op = opened[lo - 1:hi]
+        np.subtract(h1[lo - 1:hi], o, out=op)
+        ec = e0[lo:hi]
+        np.subtract(e1[lo - 1:hi - 1], e, out=ec)
+        np.maximum(ec, op[:-1], out=ec)                      # E (up)
+        fc = f0[lo:hi]
+        np.subtract(f1[lo:hi], e, out=fc)
+        np.maximum(fc, op[1:], out=fc)                       # F (left)
+        np.maximum(cur, ec, out=cur)
+        np.maximum(cur, fc, out=cur)
+        np.maximum(cur, zeros[:hi - lo], out=cur)
+        np.maximum(hmax[lo:hi], cur, out=hmax[lo:hi])
+        h0, h1, h2 = h2, h0, h1
+        e0, e1 = e1, e0
+        f0, f1 = f1, f0
+    scores = hmax.max(axis=0).astype(np.int64)
+    pool.give(h0, h1, h2, hmax, opened, e0, e1, f0, f1, zeros, brev, idx,
+              sub)
     return scores
 
 
@@ -384,11 +365,12 @@ class DeviceAligner:
 
         ``pairs`` is ``(n, 2)`` sequence ids.  Returns ``(n,)`` int64
         scores, bit-identical to the host batched kernels under the same
-        gap model.  Bins run under :attr:`plan`'s schedule on one device;
-        on a group they are statically assigned to the member with the
-        least accumulated padded-cell load and scored by one driver thread
-        per device — bins write disjoint ``out`` slices, so distribution
-        cannot reorder anything observable.
+        gap model.  Bins run under :attr:`plan`'s schedule on one device,
+        or fan out across forked workers when they carry enough work (see
+        :meth:`_fanout_workers`); on a group they are statically assigned
+        to the member with the least accumulated padded-cell load and
+        scored by one driver thread per device — bins write disjoint
+        ``out`` slices, so distribution cannot reorder anything observable.
         """
         if not self._d_residues:
             raise RuntimeError("no sequences resident; call upload_sequences")
@@ -423,12 +405,32 @@ class DeviceAligner:
         d_pairs = (self.group.broadcast(pairs) if multi
                    else [self.device.upload(pairs)])
 
+        def kernel(bin_: AlignmentBin, arow, bt, pool: ScratchPool):
+            if gap_model == "affine":
+                return wavefront_affine_binned(arow, bt, self.matrix,
+                                               gap_open, gap_extend,
+                                               bin_.dtype, pool)
+            return wavefront_linear_binned(arow, bt, self.matrix, gap,
+                                           bin_.dtype, pool)
+
+        def gather(bin_: AlignmentBin, dev: int = 0):
+            return self._gather_bin(bin_, plan.order, short_ids, long_ids,
+                                    dev)
+
         def pack(bin_: AlignmentBin, dev: int = 0):
-            return self._pack_bin(bin_, plan.order, short_ids, long_ids, dev)
+            t0 = time.perf_counter()
+            packed = gather(bin_, dev)
+            self._account_pack(bin_, time.perf_counter() - t0, dev)
+            return packed
 
         def score(bin_: AlignmentBin, packed, dev: int = 0) -> None:
-            self._score_bin(bin_, packed, plan, gap_model, gap, gap_open,
-                            gap_extend, out, dev)
+            device = members[dev]
+            arow, bt = packed
+            d_work = device.memory.adopt(bt)  # bin working set, on device
+            t0 = time.perf_counter()
+            scores = kernel(bin_, arow, bt, device.scratch)
+            self._land_bin(bin_, d_work, scores, t0, time.perf_counter(),
+                           plan, out, dev)
 
         try:
             if multi:
@@ -455,6 +457,8 @@ class DeviceAligner:
                     thread.join()
                 if errors:
                     raise errors[0]
+            elif (n_workers := self._fanout_workers(plan)) > 1:
+                self._fan_out(plan, gather, kernel, out, n_workers)
             elif self.plan.mode == EXEC_PREFETCH and plan.n_bins > 1:
                 for bin_, packed in double_buffer(plan.bins, pack):
                     score(bin_, packed)
@@ -481,52 +485,147 @@ class DeviceAligner:
         return out
 
     # ------------------------------------------------------------------ #
+    # Process fan-out (single device)
+    # ------------------------------------------------------------------ #
+
+    def _fanout_workers(self, plan: AlignmentBinPlan) -> int:
+        """Forked workers to score ``plan`` with; ``1`` means in-process.
+
+        Threads cannot scale this loop — its ~10 µs NumPy calls hand the
+        GIL back and forth — so a single device fans its bins out across
+        processes, one per usable core.  That pays a process start-up, so
+        it needs at least two bins, a second core, more than
+        :data:`FANOUT_MIN_CELLS` padded DP cells, and the ``fork`` start
+        method (workers inherit the resident residue buffer copy-on-write).
+        Forking a process that runs other threads can deadlock the child
+        on a lock one of them held, so a multi-threaded caller stays
+        in-process.
+        """
+        cores = _usable_cores()
+        if (plan.n_bins < 2 or cores < 2
+                or plan.padded_cells <= FANOUT_MIN_CELLS
+                or threading.active_count() > 1):
+            return 1
+        import multiprocessing      # deferred: small runs never load it
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+        return min(cores, plan.n_bins)
+
+    def _fan_out(self, plan: AlignmentBinPlan, gather, kernel,
+                 out: np.ndarray, n_workers: int) -> None:
+        """Score ``plan``'s bins in ``n_workers`` forked processes.
+
+        Bins go to workers by :func:`least_loaded_assignment` on padded
+        cells.  Each worker gathers and scores its bins against the
+        inherited residue buffer and sends back, per bin, ``(index, scores,
+        pack seconds, kernel start, kernel end)``.  The parent then does
+        all device accounting bin by bin in plan order, so kernel stats,
+        transfer bytes, ``device.align.*`` metrics and ``device.align_bin``
+        spans are exactly those of an in-process run.
+        """
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        owners = least_loaded_assignment(
+            [bin_.padded_cells for bin_ in plan.bins], n_workers)
+
+        def work(conn, mine: list[int]) -> None:
+            try:
+                pool = ScratchPool()
+                results = []
+                for k in mine:
+                    bin_ = plan.bins[k]
+                    t0 = time.perf_counter()
+                    arow, bt = gather(bin_)
+                    t1 = time.perf_counter()
+                    scores = kernel(bin_, arow, bt, pool)
+                    results.append((k, scores, t1 - t0, t1,
+                                    time.perf_counter()))
+                conn.send(results)
+            except Exception as exc:  # noqa: BLE001 — re-raised in parent
+                conn.send(exc)
+            finally:
+                conn.close()
+
+        procs, conns = [], []
+        results: dict[int, tuple] = {}
+        try:
+            for w in range(n_workers):
+                mine = [k for k, owner in enumerate(owners) if owner == w]
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=work, args=(send, mine),
+                                   name=f"sw-fanout-{w}", daemon=True)
+                proc.start()
+                send.close()
+                procs.append(proc)
+                conns.append(recv)
+            for proc, conn in zip(procs, conns):
+                try:
+                    msg = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(
+                        f"alignment worker {proc.name} exited with code "
+                        f"{proc.exitcode} before sending its scores"
+                    ) from None
+                if isinstance(msg, BaseException):
+                    raise msg
+                for k, *rest in msg:
+                    results[k] = rest
+        except BaseException:
+            for proc in procs:
+                proc.terminate()
+            raise
+        finally:
+            for conn in conns:
+                conn.close()
+            for proc in procs:
+                proc.join()
+
+        device = self.device
+        for k, bin_ in enumerate(plan.bins):
+            scores, pack_s, t0, t1 = results[k]
+            self._account_pack(bin_, pack_s)
+            # The bin's working set: the long block ``bt`` it was packed to.
+            d_work = device.memory.alloc(
+                (max(bin_.max_long, 1), bin_.n_pairs), np.int16)
+            self._land_bin(bin_, d_work, scores, t0, t1, plan, out)
+
+    # ------------------------------------------------------------------ #
     # Per-bin stages
     # ------------------------------------------------------------------ #
 
-    def _pack_bin(self, bin_: AlignmentBin, order: np.ndarray,
-                  short_ids: np.ndarray, long_ids: np.ndarray,
-                  dev: int = 0):
-        device = self._members[dev]
-        t0 = time.perf_counter()
+    def _gather_bin(self, bin_: AlignmentBin, order: np.ndarray,
+                    short_ids: np.ndarray, long_ids: np.ndarray,
+                    dev: int = 0):
         members = order[bin_.order_lo:bin_.order_hi]
-        residues = self._d_residues16[dev].device_view()
-        offsets = self._d_offsets[dev].device_view()
-        arow, bt = pack_bin_blocks(residues, offsets, short_ids[members],
-                                   long_ids[members], bin_.max_short,
-                                   bin_.max_long)
-        t1 = time.perf_counter()
-        device.breakdown.add(BUCKET_GPU, t1 - t0)
-        n_el = arow.size + bt.size
+        return pack_bin_blocks(self._d_residues16[dev].device_view(),
+                               self._d_offsets[dev].device_view(),
+                               short_ids[members], long_ids[members],
+                               bin_.max_short, bin_.max_long)
+
+    def _account_pack(self, bin_: AlignmentBin, seconds: float,
+                      dev: int = 0) -> None:
+        device = self._members[dev]
+        device.breakdown.add(BUCKET_GPU, seconds)
+        n_el = bin_.n_pairs * (max(bin_.max_short, 1) + max(bin_.max_long, 1))
         modeled = device.spec.kernels.seconds_for("transform", n_el)
         device._record_kernel("sw_pack", n_el, modeled)
         device.breakdown.add_modeled(BUCKET_GPU, modeled)
-        return arow, bt
 
-    def _score_bin(self, bin_: AlignmentBin, packed,
-                   plan: AlignmentBinPlan, gap_model: str, gap: int,
-                   gap_open: int, gap_extend: int, out: np.ndarray,
-                   dev: int = 0) -> None:
+    def _land_bin(self, bin_: AlignmentBin, d_work, scores: np.ndarray,
+                  t0: float, t1: float, plan: AlignmentBinPlan,
+                  out: np.ndarray, dev: int = 0) -> None:
+        """Account one bin's kernel run ``[t0, t1]`` and download its
+        scores into ``out``, freeing the bin's working set ``d_work``."""
         device = self._members[dev]
-        arow, bt = packed
-        t0 = time.perf_counter()
-        d_work = device.memory.adopt(bt)      # bin working set, device-resident
-        if gap_model == "affine":
-            scores = rowscan_affine_binned(arow, bt, self.matrix, gap_open,
-                                           gap_extend, bin_.dtype,
-                                           device.scratch)
-        else:
-            scores = rowscan_linear_binned(arow, bt, self.matrix, gap,
-                                           bin_.dtype, device.scratch)
         d_scores = device.memory.adopt(scores)
-        t1 = time.perf_counter()
         device.breakdown.add(BUCKET_GPU, t1 - t0)
         cells = bin_.padded_cells
-        rowscan_s = device.spec.kernels.seconds_for("transform", cells)
-        scan_s = device.spec.kernels.seconds_for("scan", cells)
-        device._record_kernel("sw_rowscan", cells, rowscan_s)
-        device._record_kernel("sw_scan", cells, scan_s)
-        device.breakdown.add_modeled(BUCKET_GPU, rowscan_s + scan_s)
+        modeled = device.spec.kernels.seconds_for("transform", cells)
+        device._record_kernel("sw_wavefront", cells, modeled)
+        device.breakdown.add_modeled(BUCKET_GPU, modeled)
         tracer = device.obs.tracer
         if tracer.enabled:
             tracer.record(

@@ -43,9 +43,9 @@ class KernelCostModel:
 
     ``transform`` covers the elementwise hash map; ``sort`` the segmented
     sort (Thrust radix-sort class throughput); ``select`` the segmented
-    top-s selection; ``reduce`` fingerprint folding and similar O(n) passes;
-    ``scan`` block-parallel prefix scans (the alignment kernels' left-gap
-    chain runs one max-plus scan per DP row).
+    top-s selection; ``reduce`` fingerprint folding and similar O(n) passes.
+    The alignment wavefront is charged as a ``transform`` over its padded
+    DP cells.
 
     The inter-pass aggregation and Phase III offloads add their own classes:
     ``agg_sort`` (merging already-sorted fingerprint runs — cheaper than a
@@ -75,7 +75,6 @@ class KernelCostModel:
     sort_eps: float = 1.0e9
     select_eps: float = 8e9
     reduce_eps: float = 20e9
-    scan_eps: float = 10e9
     agg_sort_eps: float = 1.2e9
     agg_scan_eps: float = 10e9
     agg_invert_eps: float = 1.5e9
@@ -90,7 +89,6 @@ class KernelCostModel:
                 "sort": self.sort_eps,
                 "select": self.select_eps,
                 "reduce": self.reduce_eps,
-                "scan": self.scan_eps,
                 "agg_sort": self.agg_sort_eps,
                 "agg_boundaries": self.agg_scan_eps,
                 "agg_invert": self.agg_invert_eps,

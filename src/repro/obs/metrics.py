@@ -183,16 +183,20 @@ class NullMetrics:
 NULL_METRICS = NullMetrics()
 
 
-def peak_rss_bytes() -> int:
+def peak_rss_bytes(children: bool = False) -> int:
     """Peak resident set size of this process, in bytes (0 if unknown).
 
-    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS.
+    With ``children``, the peak of its largest terminated and waited-for
+    child instead (``RUSAGE_CHILDREN``) — where forked workers' memory
+    shows, since ``RUSAGE_SELF`` never counts it.  ``ru_maxrss`` is
+    kilobytes on Linux and bytes on macOS.
     """
     try:
         import resource
     except ImportError:  # non-POSIX platform
         return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
+    peak = resource.getrusage(who).ru_maxrss
     if sys.platform == "darwin":
         return int(peak)
     return int(peak) * 1024

@@ -109,6 +109,8 @@ def run_end_to_end(
                                               min_size=min_cluster_size)
 
     obs.metrics.gauge("process.peak_rss_bytes").set_max(peak_rss_bytes())
+    obs.metrics.gauge("process.children_peak_rss_bytes").set_max(
+        peak_rss_bytes(children=True))
     if tracer.enabled:
         tracer.record("e2e.run", t_start, tracer.clock(),
                       attrs={"n_sequences": protein_set.n_sequences,

@@ -16,8 +16,9 @@ a *hybrid alignment scheduler* over three interchangeable backends:
     no sequence pickling, shard results stream back in order.
 ``device``
     The simulated-GPU offload (:class:`repro.device.alignment.DeviceAligner`):
-    length-binned packing and ramped row-scan kernels, with the sequence
-    upload overlapped with the seed-filter stage on a copy thread.
+    length-binned packing and anti-diagonal wavefront kernels, with the
+    sequence upload overlapped with the seed-filter stage on a copy thread
+    and, for large inputs, bins fanned out across forked workers.
 
 ``HomologyConfig.align_backend`` picks one explicitly, or ``auto`` lets a
 cost model choose per workload from the pair count, the total DP cell
@@ -73,8 +74,8 @@ class HomologyConfig:
         Minimum exact-match length, suffix mode.
     gap_model / gap / gap_open / gap_extend:
         ``"linear"`` (penalty ``gap`` per gapped residue) or ``"affine"``
-        (BLAST-style ``gap_open + (L-1) * gap_extend``); both run the
-        batched row-scan aligner.
+        (BLAST-style ``gap_open + (L-1) * gap_extend``); every backend
+        supports both.
     min_normalized_score:
         A pair becomes an edge when ``sw / min(self_a, self_b)`` is at least
         this value.  Normalizing by the smaller self-score makes the
@@ -399,9 +400,17 @@ def build_homology_graph(sequences: list[np.ndarray],
         uploader = ThreadPoolExecutor(max_workers=1,
                                       thread_name_prefix="align-copy")
         upload = uploader.submit(aligner.upload_sequences, sequences)
+
+    def wait_resident() -> None:
+        upload.result()
+        # Retire the idle copy thread now: the aligner may fork workers,
+        # and forking a multi-threaded process can deadlock the child.
+        uploader.shutdown(wait=True)
+
     try:
         return _build_graph(sequences, config, matrix, keep_scores, aligner,
-                            upload, timings, n, tracer, metrics, t_start)
+                            wait_resident, timings, n, tracer, metrics,
+                            t_start)
     finally:
         if uploader is not None:
             uploader.shutdown(wait=True)
@@ -409,8 +418,9 @@ def build_homology_graph(sequences: list[np.ndarray],
                 aligner.release()
 
 
-def _build_graph(sequences, config, matrix, keep_scores, aligner, upload,
-                 timings, n, tracer, metrics, t_start) -> HomologyResult:
+def _build_graph(sequences, config, matrix, keep_scores, aligner,
+                 wait_resident, timings, n, tracer, metrics,
+                 t_start) -> HomologyResult:
     with timed(tracer, "homology.seed_filter",
                filter=config.pair_filter) as stage:
         if config.pair_filter == "suffix":
@@ -468,7 +478,7 @@ def _build_graph(sequences, config, matrix, keep_scores, aligner, upload,
                n_jobs=n_jobs, n_shards=len(shards),
                backend=backend) as stage:
         if backend == "device":
-            upload.result()     # sequences resident (overlapped seed filter)
+            wait_resident()     # upload overlapped the seed filter
             scores = aligner.batch_scores(
                 pairs, gap_model=config.gap_model, gap=config.gap,
                 gap_open=config.gap_open, gap_extend=config.gap_extend)

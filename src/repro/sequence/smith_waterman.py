@@ -11,8 +11,8 @@ Several implementations, cross-validated by the test suite:
   production path: a *row-scan* DP vectorized across a batch of pairs at
   once.  Bit-identical to the scalar references.
 
-The batched kernels used to advance one anti-diagonal at a time (the
-classic wavefront parallelization).  They now advance one *row* at a time:
+The host batched kernels advance one *row* at a time (the device aligner,
+:mod:`repro.device.alignment`, runs an anti-diagonal wavefront instead):
 the sequential left-gap dependency ``H[i,j] = max(..., H[i,j-1] - gap)``
 unrolls exactly into a max-plus prefix scan,
 
@@ -20,11 +20,10 @@ unrolls exactly into a max-plus prefix scan,
              ``= accmax_j (T[i,k] + gap*k) - gap*j``,
 
 where ``T`` collects the non-left candidates (zero, diagonal, up), so each
-row is a handful of whole-chunk vector operations including one
-``np.maximum.accumulate``.  Compared to the wavefront this runs
-``min(la, lb)`` long contiguous iterations instead of ``la + lb`` ragged
-ones, and the DP state is held in the narrowest integer dtype the score
-bounds allow (int16 where penalties and lengths permit, else int32/int64).
+row is a handful of whole-chunk vector operations including one prefix
+max.  This runs ``min(la, lb)`` long contiguous iterations, and the DP
+state is held in the narrowest integer dtype the score bounds allow
+(int16 where penalties and lengths permit, else int32/int64).
 The affine (Gotoh) ``F`` recurrence folds into the same scan with step
 ``min(gap_open, gap_extend)`` — see :func:`_rowscan_affine`.
 
@@ -49,13 +48,6 @@ _I16_SPAN = 28000
 _I16_PAD_SCORE = -30000
 _I16_NEG = -30000
 _I16_MAX_PENALTY = 512
-
-
-def _extended_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Scoring matrix with an extra PAD row/column (int32)."""
-    m = np.full((ALPHABET_SIZE + 1, ALPHABET_SIZE + 1), _PAD_SCORE, dtype=np.int32)
-    m[:ALPHABET_SIZE, :ALPHABET_SIZE] = matrix.astype(np.int32)
-    return m
 
 
 def sw_score_linear(a: np.ndarray, b: np.ndarray,
@@ -428,50 +420,6 @@ def _rowscan_affine(seqs_short: list[np.ndarray], seqs_long: list[np.ndarray],
     return hmax.max(axis=0).astype(np.int64)
 
 
-def _chunk_scores_banded(seqs_a: list[np.ndarray], seqs_b: list[np.ndarray],
-                         mat: np.ndarray, gap: int, band: int) -> np.ndarray:
-    """Anti-diagonal DP over one padded chunk, band-restricted.
-
-    The legacy wavefront kernel, kept for the banded mode: the band windows
-    break the left-chain scan invariant the row kernels rely on.
-    """
-    a = _pad_block(seqs_a)          # (B, La)
-    b = _pad_block(seqs_b)          # (B, Lb)
-    n_pairs, la = a.shape
-    lb = b.shape[1]
-    if n_pairs == 0:
-        return np.zeros(0, dtype=np.int64)
-
-    # H diagonals indexed by i in [0, la]; H_d[:, i] == H[i, d - i].
-    h_prev2 = np.zeros((n_pairs, la + 1), dtype=np.int64)   # diagonal d-2
-    h_prev1 = np.zeros((n_pairs, la + 1), dtype=np.int64)   # diagonal d-1
-    best = np.zeros(n_pairs, dtype=np.int64)
-
-    for d in range(2, la + lb + 1):
-        i_lo = max(1, d - lb)
-        i_hi = min(la, d - 1)
-        # |i - j| <= band with j = d - i  =>  (d - band)/2 <= i <= (d + band)/2
-        i_lo = max(i_lo, -((band - d) // 2))   # ceil((d - band) / 2)
-        i_hi = min(i_hi, (d + band) // 2)
-        if i_lo > i_hi:
-            # Nothing inside the band on this diagonal: its H values are all
-            # zero, but the buffers must still rotate or later diagonals
-            # would read stale predecessors.
-            h_prev2, h_prev1 = h_prev1, np.zeros_like(h_prev1)
-            continue
-        i_range = np.arange(i_lo, i_hi + 1)
-        sub = mat[a[:, i_range - 1], b[:, d - i_range - 1]]
-        diag = h_prev2[:, i_range - 1] + sub
-        up = h_prev1[:, i_range - 1] - gap     # from (i-1, j): gap in b
-        left = h_prev1[:, i_range] - gap       # from (i, j-1): gap in a
-        h_cur_vals = np.maximum(np.maximum(diag, up), np.maximum(left, 0))
-        h_cur = np.zeros((n_pairs, la + 1), dtype=np.int64)
-        h_cur[:, i_range] = h_cur_vals
-        np.maximum(best, h_cur_vals.max(axis=1), out=best)
-        h_prev2, h_prev1 = h_prev1, h_cur
-    return best
-
-
 def _chunk_order(seqs_short: list[np.ndarray],
                  seqs_long: list[np.ndarray]) -> np.ndarray:
     """Length-sorted processing order so chunks pad homogeneously.
@@ -485,37 +433,20 @@ def _chunk_order(seqs_short: list[np.ndarray],
 
 def batch_smith_waterman(seqs_a: list[np.ndarray], seqs_b: list[np.ndarray],
                          matrix: np.ndarray = BLOSUM62, gap: int = 8,
-                         chunk_size: int = 256,
-                         band: int | None = None) -> np.ndarray:
+                         chunk_size: int = 256) -> np.ndarray:
     """Scores of ``len(seqs_a)`` alignments, vectorized across pairs.
 
     Pairs are grouped into length-sorted chunks; within a chunk the
     row-scan DP advances with whole-chunk array operations (see the module
     docstring).  Equal elementwise to calling :func:`sw_score_linear` per
     pair.
-
-    With ``band`` set, only cells within ``band`` of the main diagonal are
-    computed (see :func:`sw_score_banded`) via the legacy anti-diagonal
-    kernel.
     """
     if len(seqs_a) != len(seqs_b):
         raise ValueError("seqs_a and seqs_b must have equal length")
     if gap < 0:
         raise ValueError("gap penalty must be >= 0")
-    if band is not None and band < 0:
-        raise ValueError("band must be >= 0")
     n = len(seqs_a)
     out = np.zeros(n, dtype=np.int64)
-    if band is not None:
-        mat = _extended_matrix(matrix)
-        order = np.argsort([len(a) + len(b) for a, b in zip(seqs_a, seqs_b)],
-                           kind="stable")
-        for lo in range(0, n, chunk_size):
-            idx = order[lo:lo + chunk_size]
-            chunk_a = [np.asarray(seqs_a[i], dtype=np.uint8) for i in idx]
-            chunk_b = [np.asarray(seqs_b[i], dtype=np.uint8) for i in idx]
-            out[idx] = _chunk_scores_banded(chunk_a, chunk_b, mat, gap, band)
-        return out
     short, long_ = _swap_short_long(
         [np.asarray(a, dtype=np.uint8) for a in seqs_a],
         [np.asarray(b, dtype=np.uint8) for b in seqs_b])

@@ -1,25 +1,34 @@
 """Device-offloaded alignment: kernels, bin planner, aligner, scheduler.
 
 The central contract is bit-identity: the device path (length-binned
-packing + ramped row-scan kernels) must reproduce the host batched
+packing + anti-diagonal wavefront kernels) must reproduce the host batched
 Smith-Waterman scores exactly, for both gap models, every DP dtype the
-escalation rule can pick, every execution plan, and any bin geometry.
+escalation rule can pick, every execution plan, any bin geometry, and
+in-process or fanned out across forked workers.
 """
 
 import dataclasses
+import os
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.execplan import EXEC_MODES, ExecutionPlan
+from repro.core.execplan import (
+    EXEC_MODES,
+    EXEC_MULTISTREAM,
+    EXEC_PREFETCH,
+    EXEC_SYNC,
+    ExecutionPlan,
+)
 from repro.device import DeviceAligner, SimulatedDevice
+from repro.device import alignment as alignment_mod
 from repro.device.alignment import (
-    _scan_blocked,
     pack_bin_blocks,
-    rowscan_affine_binned,
-    rowscan_linear_binned,
+    wavefront_affine_binned,
+    wavefront_linear_binned,
 )
 from repro.device.batching import plan_alignment_bins
 from repro.device.memory import ScratchPool
@@ -32,10 +41,13 @@ from repro.sequence.homology import (
     observe_alignment_throughput,
 )
 from repro.sequence.scoring import BLOSUM62
+from repro.obs import observe, use_obs
 from repro.sequence.smith_waterman import (
     batch_smith_waterman,
     batch_smith_waterman_affine,
     dp_dtype,
+    sw_score_affine,
+    sw_score_linear,
 )
 
 
@@ -148,17 +160,6 @@ class TestKernels:
             expect_b[:b.size] = b
             assert np.array_equal(bt[:, col], expect_b)
 
-    def test_blocked_scan_equals_accumulate(self):
-        rng = np.random.default_rng(3)
-        for rows in (32, 64, 96, 320):
-            x = rng.integers(-30000, 30000,
-                             size=(rows, 17)).astype(np.int16)
-            expect = np.maximum.accumulate(x, axis=0)
-            nb = rows // 32
-            carry = np.empty((nb, 17), dtype=np.int16)
-            _scan_blocked(x.reshape(nb, 32, 17), carry)
-            assert np.array_equal(x, expect)
-
     @pytest.mark.parametrize("gap", [0, 1, 8])
     def test_rowscan_linear_binned_matches_host(self, gap):
         rng = np.random.default_rng(4)
@@ -217,16 +218,86 @@ class TestKernels:
         arow, bt = pack_bin_blocks(residues.astype(np.int16), offsets,
                                    short_ids, long_ids, ms, ml)
         pool = ScratchPool()
-        lin = rowscan_linear_binned(arow, bt, BLOSUM62, 8,
-                                    np.dtype(np.int16), pool)
-        aff = rowscan_affine_binned(arow, bt, BLOSUM62, 11, 1,
-                                    np.dtype(np.int16), pool)
+        lin = wavefront_linear_binned(arow, bt, BLOSUM62, 8,
+                                      np.dtype(np.int16), pool)
+        aff = wavefront_affine_binned(arow, bt, BLOSUM62, 11, 1,
+                                      np.dtype(np.int16), pool)
         ref_l = batch_smith_waterman([seqs[i] for i in order],
                                      [seqs[i] for i in order])
         ref_a = batch_smith_waterman_affine([seqs[i] for i in order],
                                             [seqs[i] for i in order])
         assert np.array_equal(lin, ref_l)
         assert np.array_equal(aff, ref_a)
+
+
+# --------------------------------------------------------------------- #
+# Wavefront kernels vs the scalar references, pair by pair
+# --------------------------------------------------------------------- #
+
+SEQ = st.lists(st.integers(0, 20), max_size=20)
+LANES = st.lists(st.tuples(SEQ, SEQ), min_size=1, max_size=9)
+
+
+def score_packed_bin(lanes, kernel, penalties):
+    """Pack ``lanes`` (pairs of residue lists) as one bin, oriented and
+    PAD-padded the way the aligner packs it, and run ``kernel`` on it.
+
+    Returns ``(kernel scores, oriented pairs, bin dtype)``.
+    """
+    pairs = [(np.array(a, dtype=np.uint8), np.array(b, dtype=np.uint8))
+             for a, b in lanes]
+    pairs = [(a, b) if a.size <= b.size else (b, a) for a, b in pairs]
+    residues, offsets = flatten_sequences([s for pair in pairs for s in pair])
+    ids = np.arange(len(pairs)) * 2
+    max_short = max(a.size for a, _ in pairs)
+    max_long = max(b.size for _, b in pairs)
+    arow, bt = pack_bin_blocks(residues.astype(np.int16), offsets, ids,
+                               ids + 1, max_short, max_long)
+    dtype = dp_dtype(max_short, max_long, BLOSUM62, penalties)
+    scores = kernel(arow, bt, BLOSUM62, *penalties, dtype, ScratchPool())
+    return scores, pairs, dtype
+
+
+class TestWavefrontKernels:
+    @given(lanes=LANES, gap=st.sampled_from([0, 1, 8, 600]))
+    @example(lanes=[([], [])], gap=8)                     # all-empty bin
+    @example(lanes=[([], [1, 2]), ([3], [])], gap=8)      # empty lanes
+    @example(lanes=[([3], [5, 6, 7, 8])], gap=1)          # la == 1
+    @example(lanes=[([4], [4]), ([], [9])], gap=8)        # lb == 1
+    @example(lanes=[([1, 2, 3], [3, 2, 1]), ([7, 7], [7, 7])], gap=0)
+    @example(lanes=[([1, 2], [1, 2, 3, 4, 5, 6, 7]),      # ragged, odd lanes
+                    ([5, 5, 5, 5], [5, 5, 5, 5, 5]),
+                    ([9], [9, 9])], gap=8)
+    @example(lanes=[([1, 2, 3, 4], [4, 3, 2, 1, 0])], gap=600)   # int32
+    @settings(max_examples=60, deadline=None)
+    def test_linear_matches_scalar(self, lanes, gap):
+        scores, pairs, dtype = score_packed_bin(
+            lanes, wavefront_linear_binned, (gap,))
+        if gap > 512:
+            assert dtype == np.int32
+        expect = [sw_score_linear(a, b, gap=gap) for a, b in pairs]
+        assert scores.tolist() == expect
+
+    @given(lanes=LANES,
+           gaps=st.sampled_from([(11, 1), (1, 11), (0, 0), (5, 5),
+                                 (0, 3), (700, 1)]))
+    @example(lanes=[([], [])], gaps=(11, 1))
+    @example(lanes=[([3], [5, 6, 7, 8]), ([], [2])], gaps=(1, 11))
+    @example(lanes=[([4], [4])], gaps=(11, 1))
+    @example(lanes=[([1, 2, 3], [3, 2, 1]), ([7, 7], [7, 7])], gaps=(0, 0))
+    @example(lanes=[([1, 2], [1, 2, 3, 4, 5, 6, 7]),
+                    ([5, 5, 5, 5], [5, 5, 9, 5, 5]),
+                    ([9], [9, 9])], gaps=(2, 5))          # open < extend
+    @example(lanes=[([1, 2, 3, 4], [4, 3, 2, 1, 0])], gaps=(700, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_affine_matches_scalar(self, lanes, gaps):
+        scores, pairs, dtype = score_packed_bin(
+            lanes, wavefront_affine_binned, gaps)
+        if max(gaps) > 512:
+            assert dtype == np.int32
+        expect = [sw_score_affine(a, b, gap_open=gaps[0],
+                                  gap_extend=gaps[1]) for a, b in pairs]
+        assert scores.tolist() == expect
 
 
 # --------------------------------------------------------------------- #
@@ -277,7 +348,7 @@ class TestDeviceAligner:
             al.batch_scores(pairs)
             dev = al.device
             stats = dev.kernel_stats
-            for name in ("sw_widen", "sw_pack", "sw_rowscan", "sw_scan"):
+            for name in ("sw_widen", "sw_pack", "sw_wavefront"):
                 assert stats[name]["launches"] >= 1
                 assert stats[name]["modeled_s"] > 0
             assert dev.memory.bytes_to_device > 0   # residues + offsets + pairs
@@ -316,6 +387,141 @@ class TestDeviceAligner:
         pairs = random_pairs(rng, len(ps.sequences), 2000)
         al.batch_scores(pairs)
         assert al.last_plan.padding_waste < 0.25
+
+
+# --------------------------------------------------------------------- #
+# Process fan-out on a single device
+# --------------------------------------------------------------------- #
+
+def align_counters(device):
+    counters = device.obs.metrics.snapshot()["counters"]
+    return {k: v for k, v in counters.items() if k.startswith("device.align.")}
+
+
+class TestFanOut:
+    @pytest.fixture()
+    def workload(self):
+        rng = np.random.default_rng(21)
+        return random_seqs(rng, 60, len_max=70), random_pairs(rng, 60, 400)
+
+    @pytest.fixture()
+    def fan_calls(self, monkeypatch):
+        """Counts ``_fan_out`` calls (each one forks a worker pool)."""
+        calls = []
+        orig = DeviceAligner._fan_out
+
+        def spy(self, *args, **kw):
+            calls.append(args[-1])          # n_workers
+            return orig(self, *args, **kw)
+
+        monkeypatch.setattr(DeviceAligner, "_fan_out", spy)
+        return calls
+
+    def run(self, seqs, pairs, mode, gap_model):
+        with use_obs(observe()) as ctx:
+            al = DeviceAligner(SimulatedDevice(),
+                               plan=ExecutionPlan.from_mode(mode),
+                               max_pairs_per_bin=48)
+            al.upload_sequences(seqs)
+            scores = al.batch_scores(pairs, gap_model=gap_model)
+        mem = al.device.memory
+        moved = (mem.bytes_to_device, mem.bytes_to_host)
+        al.release()
+        spans = [(r.name, r.attrs) for r in ctx.tracer.records
+                 if r.name == "device.align_bin"]
+        return scores, al.device, moved, sorted(spans, key=repr)
+
+    @pytest.mark.parametrize("gap_model", ["linear", "affine"])
+    @pytest.mark.parametrize("mode",
+                             [EXEC_SYNC, EXEC_PREFETCH, EXEC_MULTISTREAM])
+    def test_forked_equals_in_process(self, workload, fan_calls,
+                                      monkeypatch, mode, gap_model):
+        seqs, pairs = workload
+        ref_scores, ref_dev, ref_moved, ref_spans = self.run(
+            seqs, pairs, mode, gap_model)
+        assert fan_calls == []              # default gate: in-process
+        monkeypatch.setattr(alignment_mod, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(alignment_mod, "FANOUT_MIN_CELLS", 0)
+        scores, dev, moved, spans = self.run(seqs, pairs, mode, gap_model)
+        assert fan_calls == [2]
+
+        assert np.array_equal(scores, ref_scores)
+        stats, ref_stats = dev.kernel_stats, ref_dev.kernel_stats
+        assert stats.keys() == ref_stats.keys()
+        for name, ref in ref_stats.items():
+            assert stats[name]["launches"] == ref["launches"]
+            assert stats[name]["elements"] == ref["elements"]
+            assert stats[name]["modeled_s"] == pytest.approx(ref["modeled_s"])
+        assert moved == ref_moved
+        assert dev.memory.used_bytes == 0
+        assert align_counters(dev) == align_counters(ref_dev)
+        assert spans == ref_spans
+
+    def test_below_gate_never_forks(self, workload, fan_calls, monkeypatch):
+        seqs, pairs = workload
+        monkeypatch.setattr(alignment_mod, "_usable_cores", lambda: 2)
+        al = DeviceAligner(SimulatedDevice(), max_pairs_per_bin=48)
+        al.upload_sequences(seqs)
+        al.batch_scores(pairs)
+        assert al.last_plan.n_bins > 1
+        assert al.last_plan.padded_cells < alignment_mod.FANOUT_MIN_CELLS
+        assert fan_calls == []
+
+    def test_single_core_never_forks(self, workload, fan_calls, monkeypatch):
+        seqs, pairs = workload
+        monkeypatch.setattr(alignment_mod, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(alignment_mod, "FANOUT_MIN_CELLS", 0)
+        al = DeviceAligner(SimulatedDevice(), max_pairs_per_bin=48)
+        al.upload_sequences(seqs)
+        al.batch_scores(pairs)
+        assert al.last_plan.n_bins > 1
+        assert fan_calls == []
+
+    def test_worker_error_reaches_caller(self, workload, monkeypatch):
+        seqs, pairs = workload
+        monkeypatch.setattr(alignment_mod, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(alignment_mod, "FANOUT_MIN_CELLS", 0)
+
+        def broken(*args, **kw):
+            raise ValueError("kernel fault")
+
+        monkeypatch.setattr(alignment_mod, "wavefront_linear_binned", broken)
+        al = DeviceAligner(SimulatedDevice(), max_pairs_per_bin=48)
+        al.upload_sequences(seqs)
+        with pytest.raises(ValueError, match="kernel fault"):
+            al.batch_scores(pairs)
+        al.release()
+        assert al.device.memory.used_bytes == 0
+
+    def test_worker_death_reaches_caller(self, workload, monkeypatch):
+        seqs, pairs = workload
+        monkeypatch.setattr(alignment_mod, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(alignment_mod, "FANOUT_MIN_CELLS", 0)
+        monkeypatch.setattr(alignment_mod, "wavefront_linear_binned",
+                            lambda *args, **kw: os._exit(3))
+        al = DeviceAligner(SimulatedDevice(), max_pairs_per_bin=48)
+        al.upload_sequences(seqs)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            al.batch_scores(pairs)
+
+    def test_threaded_caller_stays_in_process(self, workload, fan_calls,
+                                              monkeypatch):
+        # Forking while another thread runs can deadlock the child.
+        seqs, pairs = workload
+        monkeypatch.setattr(alignment_mod, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(alignment_mod, "FANOUT_MIN_CELLS", 0)
+        al = DeviceAligner(SimulatedDevice(), max_pairs_per_bin=48)
+        al.upload_sequences(seqs)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            al.batch_scores(pairs)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert fan_calls == []
 
 
 # --------------------------------------------------------------------- #
@@ -435,8 +641,23 @@ class TestHomologyBackends:
         device = SimulatedDevice()
         cfg = HomologyConfig(align_backend="device")
         build_homology_graph(small_set, cfg, device=device)
-        assert device.kernel_stats["sw_rowscan"]["launches"] >= 1
+        assert device.kernel_stats["sw_wavefront"]["launches"] >= 1
         assert device.memory.used_bytes == 0    # everything released
+
+    def test_copy_thread_retired_before_scoring(self, small_set,
+                                                monkeypatch):
+        # Scoring may fork workers; the idle upload thread must be gone.
+        alive = []
+        orig = DeviceAligner.batch_scores
+
+        def spy(self, *args, **kw):
+            alive.extend(t.name for t in threading.enumerate())
+            return orig(self, *args, **kw)
+
+        monkeypatch.setattr(DeviceAligner, "batch_scores", spy)
+        build_homology_graph(small_set,
+                             HomologyConfig(align_backend="device"))
+        assert alive and not any(n.startswith("align-copy") for n in alive)
 
     def test_auto_small_scale_matches_serial_choice(self, small_set,
                                                     monkeypatch):

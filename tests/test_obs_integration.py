@@ -204,8 +204,9 @@ class TestEndToEndObs:
         names = {r.name for r in ctx.tracer.records}
         assert {"e2e.run", "e2e.homology", "e2e.clustering",
                 "e2e.quality"} <= names
-        assert ctx.metrics.snapshot()["gauges"][
-            "process.peak_rss_bytes"] > 1 << 20
+        gauges = ctx.metrics.snapshot()["gauges"]
+        assert gauges["process.peak_rss_bytes"] > 1 << 20
+        assert gauges["process.children_peak_rss_bytes"] >= 0
 
 
 class TestCliObs:

@@ -1,5 +1,8 @@
 """Unit tests for the metrics registry and its disabled mode."""
 
+import subprocess
+import sys
+
 from repro.obs import NULL_METRICS, MetricsRegistry, peak_rss_bytes
 from repro.obs.metrics import NULL_INSTRUMENT
 
@@ -99,3 +102,10 @@ class TestPeakRss:
         peak = peak_rss_bytes()
         # A running CPython interpreter occupies at least a few MB.
         assert peak > 1 << 20
+
+    def test_children_peak_counts_a_waited_child(self):
+        # RUSAGE_SELF never sees a child's memory; RUSAGE_CHILDREN keeps
+        # the largest terminated, waited-for child's peak.
+        subprocess.run([sys.executable, "-c", "b = b'x' * (64 << 20)"],
+                       check=True)
+        assert peak_rss_bytes(children=True) >= 64 << 20

@@ -1,4 +1,4 @@
-"""Tests for banded Smith-Waterman (scalar and batched)."""
+"""Tests for the scalar banded Smith-Waterman."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 
 from repro.sequence.alphabet import AMINO_ACIDS, encode, random_sequence
 from repro.sequence.mutate import substitute
-from repro.sequence.smith_waterman import (
-    batch_smith_waterman,
-    sw_score_banded,
-    sw_score_linear,
-)
+from repro.sequence.smith_waterman import sw_score_banded, sw_score_linear
 
 seq_strategy = st.text(alphabet=AMINO_ACIDS, min_size=0, max_size=35)
 
@@ -50,26 +46,3 @@ class TestBandedScalar:
 
     def test_empty(self):
         assert sw_score_banded(encode(""), encode("ACD"), 3) == 0
-
-
-class TestBandedBatch:
-    @given(st.lists(st.tuples(seq_strategy, seq_strategy), min_size=1,
-                    max_size=8), st.integers(0, 12))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_scalar_banded(self, pairs, band):
-        seqs_a = [encode(a) for a, _ in pairs]
-        seqs_b = [encode(b) for _, b in pairs]
-        batch = batch_smith_waterman(seqs_a, seqs_b, band=band, chunk_size=3)
-        scalar = [sw_score_banded(a, b, band) for a, b in zip(seqs_a, seqs_b)]
-        assert list(batch) == scalar
-
-    def test_band_none_is_full_dp(self, rng):
-        seqs = [rng.integers(0, 20, size=30).astype(np.uint8)
-                for _ in range(6)]
-        full = batch_smith_waterman(seqs, seqs[::-1], band=None)
-        ref = [sw_score_linear(a, b) for a, b in zip(seqs, seqs[::-1])]
-        assert list(full) == ref
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            batch_smith_waterman([encode("A")], [encode("A")], band=-1)
