@@ -68,8 +68,7 @@ def _params_from_args(args: argparse.Namespace) -> ShinglingParams:
                            seed=args.seed, kernel=args.kernel,
                            exec_mode=args.exec_mode, streams=args.streams,
                            devices=args.devices,
-                           aggregate_backend=args.aggregate_backend,
-                           launch_graph=args.launch_graph)
+                           aggregate_backend=args.aggregate_backend)
 
 
 def _make_device(params: ShinglingParams):
@@ -186,13 +185,6 @@ def _add_param_args(parser: argparse.ArgumentParser) -> None:
                              "the device when prerequisites hold, host "
                              "forces the CPU paths, device prefers the "
                              "offloads (all bit-identical)")
-    parser.add_argument("--launch-graph",
-                        choices=["auto", "on", "off"], default="auto",
-                        help="kernel launch-graph capture/replay for the "
-                             "shingle hot path: auto captures a shape class "
-                             "after its first matching chunk, on captures "
-                             "on first sight, off always launches eagerly "
-                             "(all bit-identical)")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -589,7 +581,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        # Bad parameters (``--c1 0``, ``--streams 0``, ``--devices 0``) and
+        # unreadable input files end in one line, like argparse's own
+        # usage errors, instead of a traceback.
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,9 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,74 +45,14 @@ from repro.core.execplan import (EXEC_MULTIDEVICE, EXEC_PREFETCH, EXEC_SYNC,
                                  ExecutionPlan, trial_chunks)
 from repro.core.params import AGG_AUTO, AGG_HOST, KERNEL_FUSED, PassConfig
 from repro.core.passresult import PassResult
-from repro.device import launchgraph
 from repro.device.batching import max_batch_elements, plan_batches
 from repro.device.device import SimulatedDevice
 from repro.device.group import DeviceGroup, least_loaded_assignment
-from repro.device.kernels import (SENTINEL, reduce_keys_fit,
-                                  segment_element_ids)
+from repro.device.kernels import (SENTINEL, build_tournament_plan,
+                                  reduce_keys_fit, segment_element_ids)
 from repro.device.memory import ScratchPool
 from repro.graph.bipartite import BipartiteCSR
 from repro.util.timer import BUCKET_CPU
-
-
-@dataclass
-class _PassPlan:
-    """Cached host-side shape planning for one (input, geometry) pair.
-
-    Everything the preamble of :func:`device_shingle_pass` derives from the
-    CSR input and the pass geometry — compaction, batch plan, trial chunks,
-    and (single-batch case) the per-element segment-id table.  With launch
-    graphs enabled the driver keys this by content tokens of the input
-    arrays, so steady-state passes skip the whole O(nnz) replanning; all
-    arrays are treated as read-only downstream.
-    """
-
-    n_seg: int
-    valid_ids: np.ndarray
-    lengths: np.ndarray
-    elements: np.ndarray
-    compact_indptr: np.ndarray
-    n_values: int
-    batch_plan: object
-    chunks: list[tuple[int, int]]
-    seg_ids_table: np.ndarray | None
-
-
-_PASS_PLAN_CACHE: "OrderedDict[tuple, _PassPlan]" = OrderedDict()
-_PASS_PLAN_LOCK = threading.Lock()
-_PASS_PLAN_MAX = 8
-_PASS_PLAN_STATS = {"hits": 0, "misses": 0}
-
-
-def _pass_plan_lookup(key: tuple) -> _PassPlan | None:
-    with _PASS_PLAN_LOCK:
-        plan = _PASS_PLAN_CACHE.get(key)
-        if plan is None:
-            _PASS_PLAN_STATS["misses"] += 1
-        else:
-            _PASS_PLAN_STATS["hits"] += 1
-            _PASS_PLAN_CACHE.move_to_end(key)
-        return plan
-
-
-def _pass_plan_store(key: tuple, plan: _PassPlan) -> None:
-    with _PASS_PLAN_LOCK:
-        _PASS_PLAN_CACHE[key] = plan
-        while len(_PASS_PLAN_CACHE) > _PASS_PLAN_MAX:
-            _PASS_PLAN_CACHE.popitem(last=False)
-
-
-def pass_plan_cache_stats() -> dict:
-    """Hit/miss counters of the driver's pass-plan cache (for tests/bench)."""
-    with _PASS_PLAN_LOCK:
-        return {"entries": len(_PASS_PLAN_CACHE), **_PASS_PLAN_STATS}
-
-
-def clear_pass_plan_cache() -> None:
-    with _PASS_PLAN_LOCK:
-        _PASS_PLAN_CACHE.clear()
-        _PASS_PLAN_STATS.update(hits=0, misses=0)
 
 
 def device_shingle_pass(
@@ -165,7 +103,6 @@ def device_shingle_pass(
         plan = ExecutionPlan(EXEC_PREFETCH if prefetch else EXEC_SYNC)
     indptr = np.asarray(indptr, dtype=np.int64)
     elements = np.asarray(elements, dtype=np.int64)
-    device.configure_launch_graph(plan.launch_graph)
     breakdown = device.breakdown
     s, c = config.s, config.c
     t_start = time.perf_counter()
@@ -175,51 +112,28 @@ def device_shingle_pass(
             max_elements = max_batch_elements(
                 device.spec.memory_capacity_bytes, trial_chunk, s)
         max_elements = max(max_elements // plan.resident_factor, 1)
-        pp = None
-        cache_key = None
-        if plan.launch_graph != launchgraph.LG_OFF:
-            cache_key = (launchgraph.content_token(indptr),
-                         launchgraph.content_token(elements),
-                         s, c, trial_chunk, max_elements)
-            pp = _pass_plan_lookup(cache_key)
-        if pp is None:
-            all_lengths = np.diff(indptr)
-            n_seg = all_lengths.size
-            # CPU-side compaction: segments shorter than s generate no
-            # shingles (Section III-B: shingles exist only for "any vertex
-            # ... that has at least s links"), so they never ship to the
-            # device.  The serial reference skips them the same way.
-            valid = all_lengths >= s
-            valid_ids = np.flatnonzero(valid)
-            lengths = all_lengths[valid_ids]
-            elements = elements[np.repeat(valid, all_lengths)]
-            compact_indptr = np.zeros(valid_ids.size + 1, dtype=np.int64)
-            np.cumsum(lengths, out=compact_indptr[1:])
-            # Exclusive element-id bound; sizes the fused kernel's hash
-            # table and the on-device reduction's packed keys.
-            n_values = int(elements.max()) + 1 if elements.size else 1
-
-            batch_plan = plan_batches(compact_indptr, max_elements)
-            chunks = trial_chunks(c, trial_chunk)
-            pp = _PassPlan(
-                n_seg=n_seg, valid_ids=valid_ids, lengths=lengths,
-                elements=elements, compact_indptr=compact_indptr,
-                n_values=n_values, batch_plan=batch_plan, chunks=chunks,
-                seg_ids_table=(
-                    segment_element_ids(batch_plan.batches[0].local_indptr)
-                    if batch_plan.n_batches == 1 else None))
-            if cache_key is not None:
-                _pass_plan_store(cache_key, pp)
-        else:
-            n_seg, valid_ids, lengths = pp.n_seg, pp.valid_ids, pp.lengths
-            elements, n_values = pp.elements, pp.n_values
-            batch_plan, chunks = pp.batch_plan, pp.chunks
+        all_lengths = np.diff(indptr)
+        n_seg = all_lengths.size
+        # CPU-side compaction: segments shorter than s generate no shingles
+        # (Section III-B: shingles exist only for "any vertex ... that has
+        # at least s links"), so they never ship to the device.  The serial
+        # reference skips them the same way.
+        valid = all_lengths >= s
+        valid_ids = np.flatnonzero(valid)
+        lengths = all_lengths[valid_ids]
+        elements = elements[np.repeat(valid, all_lengths)]
+        compact_indptr = np.zeros(valid_ids.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=compact_indptr[1:])
+        # Exclusive element-id bound; sizes the fused kernel's hash table
+        # and the on-device reduction's packed keys.
+        n_values = int(elements.max()) + 1 if elements.size else 1
+        batch_plan = plan_batches(compact_indptr, max_elements)
+        chunks = trial_chunks(c, trial_chunk)
 
     if batch_plan.n_batches == 1:
         result = _single_batch_streaming(
             device, elements, batch_plan.batches[0], chunks, config, kernel,
-            plan, lengths, valid_ids, n_seg, n_values,
-            seg_ids_table=pp.seg_ids_table)
+            plan, lengths, valid_ids, n_seg, n_values)
     else:
         result = _multi_batch_accumulate(
             device, elements, batch_plan, chunks, config, kernel, plan,
@@ -253,7 +167,8 @@ def _broadcast(device, members, multi: bool, host_array: np.ndarray):
 
 
 def _run_chunks(plan: ExecutionPlan, chunks, work,
-                members: list[SimulatedDevice] | None = None) -> None:
+                members: list[SimulatedDevice] | None = None,
+                first_alone: bool = False) -> None:
     """Execute ``work(lo, hi, dev)`` for every trial chunk under the plan.
 
     ``multidevice`` with several members statically assigns chunks to the
@@ -263,6 +178,9 @@ def _run_chunks(plan: ExecutionPlan, chunks, work,
     render as their own trace track.  Static-by-cost assignment keeps every
     member's kernel stream deterministic; the out-of-order-tolerant
     aggregation downstream makes completion order immaterial.
+
+    With ``first_alone`` the first chunk runs to completion, on the worker
+    the schedule gives it, before any other chunk starts.
     """
     if (plan.mode == EXEC_MULTIDEVICE and members is not None
             and len(members) > 1):
@@ -271,26 +189,13 @@ def _run_chunks(plan: ExecutionPlan, chunks, work,
         per_dev: list[list[tuple[int, int]]] = [[] for _ in members]
         for chunk, owner in zip(chunks, owners):
             per_dev[owner].append(chunk)
-        errors: list[BaseException] = []
-
-        def runner(idx: int) -> None:
-            try:
-                for lo, hi in per_dev[idx]:
-                    work(lo, hi, idx)
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=runner, args=(i,), name=f"dev{i}")
-                   for i in range(len(members)) if per_dev[i]]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
+        if first_alone and chunks:
+            lead = per_dev[owners[0]].pop(0)
+            _run_member_threads([[lead] if i == owners[0] else []
+                                 for i in range(len(members))], work)
+        _run_member_threads(per_dev, work)
         return
-    if (plan.n_workers == 1 or len(chunks) <= 1
-            or plan.mode == EXEC_MULTIDEVICE):
+    if plan.n_workers == 1 or plan.mode == EXEC_MULTIDEVICE:
         for lo, hi in chunks:
             work(lo, hi, 0)
         return
@@ -298,9 +203,33 @@ def _run_chunks(plan: ExecutionPlan, chunks, work,
     # ...) so concurrent kernel rounds render as separate trace tracks.
     with ThreadPoolExecutor(max_workers=plan.n_workers,
                             thread_name_prefix="stream") as executor:
+        if first_alone and chunks:
+            executor.submit(work, *chunks[0], 0).result()
+            chunks = chunks[1:]
         futures = [executor.submit(work, lo, hi, 0) for lo, hi in chunks]
         for future in futures:
             future.result()
+
+
+def _run_member_threads(per_dev: list[list[tuple[int, int]]], work) -> None:
+    """One ``dev{i}`` driver thread per member with chunks; re-raise errors."""
+    errors: list[BaseException] = []
+
+    def runner(idx: int) -> None:
+        try:
+            for lo, hi in per_dev[idx]:
+                work(lo, hi, idx)
+        except BaseException as exc:  # noqa: BLE001 — re-raised below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=runner, args=(i,), name=f"dev{i}")
+               for i in range(len(per_dev)) if per_dev[i]]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _single_batch_streaming(
@@ -315,7 +244,6 @@ def _single_batch_streaming(
     valid_ids: np.ndarray,
     n_seg: int,
     n_values: int,
-    seg_ids_table: np.ndarray | None = None,
 ) -> PassResult:
     """The streaming hot path: one resident batch, per-chunk aggregation.
 
@@ -329,6 +257,12 @@ def _single_batch_streaming(
     already a :class:`PassResult` in wire form — instead of the raw
     ``(t, n, s)`` occurrence block, so both the g2c bytes and the CPU
     aggregation shrink from O(t*n*s) to O(k_chunk*s).
+
+    On that reduce path the batch's :class:`~repro.device.kernels.
+    TournamentPlan` is built once, here, and every chunk selects through
+    it.  The first chunk runs alone: it returns the eager kernels' output
+    and checks the tournament against it in full, so a mismatch pins the
+    whole batch to the eager kernels before any other chunk starts.
     """
     breakdown = device.breakdown
     group_members = _members_of(device)
@@ -357,20 +291,20 @@ def _single_batch_streaming(
     use_dev_agg = (use_reduce and agg_backend != AGG_HOST and resident_fits)
 
     with breakdown.timing(BUCKET_CPU):
-        if seg_ids_table is None:
-            seg_ids_table = segment_element_ids(batch.local_indptr)
+        batch_elements = batch.slice_elements(elements)
+        seg_ids_table = segment_element_ids(batch.local_indptr)
         aggregator = StreamingAggregator(
             s, n_seg, device=device if use_dev_agg else None)
         host_pool = ScratchPool()  # reused download staging across chunks
 
-    d_elems = _broadcast(device, group_members, multi,
-                         batch.slice_elements(elements))
+    d_elems = _broadcast(device, group_members, multi, batch_elements)
     d_indptrs = _broadcast(device, group_members, multi, batch.local_indptr)
     d_gens = (_broadcast(device, group_members, multi,
                          valid_ids.astype(np.uint32))
               if use_reduce else [])
 
     tracer = device.obs.tracer
+    tournament = None
 
     def run_chunk_reduce(lo: int, hi: int, dev: int) -> None:
         member = group_members[dev]
@@ -378,7 +312,17 @@ def _single_batch_streaming(
             d_elems[dev], d_indptrs[dev], d_gens[dev],
             a=a[lo:hi], b=b[lo:hi], prime=config.prime, s=s,
             salts=salts[lo:hi], seg_ids=seg_ids_table, n_values=n_values,
-            resident=use_dev_agg, label=f"trials {lo}-{hi - 1}")
+            resident=use_dev_agg, tournament=tournament,
+            label=f"trials {lo}-{hi - 1}")
+        if lo == 0 and tracer.enabled:
+            # The lead chunk settles the plan's check (alone, if a plan
+            # exists), so the span ends with it.
+            tracer.record(
+                "device.tournament_plan", plan_t0, time.perf_counter(),
+                proc=member.proc,
+                attrs={"n_seg": n_rows,
+                       "bins": len(tournament.bins) if tournament else 0,
+                       "verified": bool(tournament and tournament.verified)})
         if use_dev_agg:
             # The partial never leaves the device: record the resident
             # buffers and move on (no per-chunk host aggregation at all).
@@ -415,9 +359,15 @@ def _single_batch_streaming(
         host_pool.give(fps_buf, top_buf)
 
     try:
+        if use_reduce:
+            plan_t0 = time.perf_counter()
+            with breakdown.timing(BUCKET_CPU):
+                tournament = build_tournament_plan(
+                    batch_elements, batch.local_indptr, s, n_values)
+        # The lead chunk checks the plan that every later chunk relies on.
         _run_chunks(plan, chunks,
                     run_chunk_reduce if use_reduce else run_chunk,
-                    members=group_members)
+                    members=group_members, first_alone=tournament is not None)
     finally:
         device.free(*(d_elems + d_indptrs + d_gens))
 

@@ -119,13 +119,41 @@ def plan_batches(indptr: np.ndarray, max_elements: int) -> BatchPlan:
     *remaining* space of the current batch AND is larger than half a batch —
     smaller segments just start a new batch, avoiding pointless splits while
     keeping batches near-full for big lists.
+
+    Empty segments carry no work and appear in no batch; they rejoin in
+    aggregation.  When the whole buffer fits one batch the plan is built
+    directly, without the per-segment loop.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     if max_elements < 1:
         raise ValueError("max_elements must be >= 1")
     n_seg = indptr.size - 1
     nnz = int(indptr[-1])
+    if 0 < nnz <= max_elements:
+        batches = [_single_batch(indptr)]
+    else:
+        batches = _greedy_batches(indptr, max_elements)
+    plan = BatchPlan(batches=batches, max_elements_per_batch=max_elements,
+                     n_source_segments=n_seg)
+    _validate_plan(plan, indptr, nnz)
+    return plan
 
+
+def _single_batch(indptr: np.ndarray) -> Batch:
+    """The one batch holding every non-empty segment whole."""
+    lengths = np.diff(indptr)
+    segment_ids = np.flatnonzero(lengths)
+    local_indptr = np.zeros(segment_ids.size + 1, dtype=np.int64)
+    np.cumsum(lengths[segment_ids], out=local_indptr[1:])
+    return Batch(element_lo=0, element_hi=int(local_indptr[-1]),
+                 local_indptr=local_indptr,
+                 segment_ids=segment_ids.astype(np.int64),
+                 is_split=np.zeros(segment_ids.size, dtype=bool))
+
+
+def _greedy_batches(indptr: np.ndarray, max_elements: int) -> list[Batch]:
+    """The per-segment packing loop behind :func:`plan_batches`."""
+    n_seg = indptr.size - 1
     batches: list[Batch] = []
     cur_lo = 0                      # element offset where current batch starts
     cur_fill = 0                    # elements used in current batch
@@ -154,7 +182,6 @@ def plan_batches(indptr: np.ndarray, max_elements: int) -> BatchPlan:
         remaining = int(indptr[seg + 1] - indptr[seg])
         if remaining == 0:
             continue  # empty segments carry no work; they rejoin in aggregation
-        first_piece = True
         while remaining > 0:
             space = max_elements - cur_fill
             if remaining <= space:
@@ -172,15 +199,10 @@ def plan_batches(indptr: np.ndarray, max_elements: int) -> BatchPlan:
             cur_ids.append(seg)
             cur_split.append(take < int(indptr[seg + 1] - indptr[seg]))
             remaining -= take
-            first_piece = False
             if cur_fill == max_elements:
                 flush()
     flush()
-
-    plan = BatchPlan(batches=batches, max_elements_per_batch=max_elements,
-                     n_source_segments=n_seg)
-    _validate_plan(plan, indptr, nnz)
-    return plan
+    return batches
 
 
 # --------------------------------------------------------------------- #

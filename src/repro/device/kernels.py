@@ -43,6 +43,12 @@ Kernel inventory
 ``segmented_select_top_s``
     Optimized selection: ``s`` rounds of segmented min (``ufunc.reduceat``)
     with masking.  O(s*n) instead of O(n log n); produces identical output.
+``build_tournament_plan`` / ``run_tournament``
+    Key-space tournament selection for the fused path: a per-batch plan of
+    length-binned gather tables, then ``s`` min/max registers per bin over
+    a ``(T, n_values)`` hash table.  Same top-``s`` keys as
+    ``fused_hash`` + ``segmented_select_top_s`` whenever every segment has
+    at least ``s`` distinct ids, in bin-permuted column order.
 ``fold_fingerprints``
     ``thrust::transform`` analogue folding each segment's top-``s`` ids into
     a 64-bit shingle fingerprint.
@@ -63,6 +69,8 @@ Kernel inventory
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -431,6 +439,147 @@ def segmented_sort_top_s(packed: np.ndarray, indptr: np.ndarray, s: int,
     return out
 
 
+@dataclass
+class TournamentPlan:
+    """Per-batch constants of the binned tournament selection.
+
+    ``bins`` holds ``(pos0, idx)`` entries: ``idx`` is an ``(L, m)`` gather
+    table whose row ``j`` maps bin columns to element values (pad slots
+    point at the sentinel column ``n_values`` of the extended hash table);
+    the bin's segments occupy permuted columns ``pos0:pos0+m``.
+    ``perm_cols`` / ``col_to_row`` let :func:`chunk_reduce` consume the
+    permuted block directly — packed keys carry original column ids, so its
+    global sort restores eager order without an inverse scatter.
+
+    ``verified`` is ``None`` until the batch's first trial chunk has
+    compared the tournament with the eager kernels in full; the device then
+    sets it, and a ``False`` pins the rest of the batch to the eager path.
+    """
+
+    n_seg: int
+    n_values: int
+    iota: np.ndarray                       # (n_values+1,) uint64
+    bins: list = field(default_factory=list)
+    perm: np.ndarray | None = None         # (n_seg,) int64, permuted -> original
+    perm_cols: np.ndarray | None = None    # (n_seg,) uint64 original column ids
+    col_to_row: np.ndarray | None = None   # (n_seg,) int64, original -> permuted
+    verified: bool | None = None
+
+
+def _ceil_pow2(lengths: np.ndarray) -> np.ndarray:
+    """Elementwise ``2**ceil(log2(x))``, int-exact (bit length of ``x-1``)."""
+    out = np.ones(lengths.size, dtype=np.int64)
+    rem = np.asarray(lengths, dtype=np.int64) - 1
+    while np.any(rem > 0):
+        np.left_shift(out, 1, out=out, where=rem > 0)
+        np.right_shift(rem, 1, out=rem)
+    return out
+
+
+def build_tournament_plan(elements: np.ndarray, indptr: np.ndarray,
+                          s: int, n_values: int) -> TournamentPlan | None:
+    """Bin one batch's segments by padded length for :func:`run_tournament`.
+
+    Returns ``None`` (the caller keeps the eager kernels) when the geometry
+    is out of scope: an empty batch, a segment shorter than ``s`` (sentinel
+    padding would be needed) or duplicate element ids within a segment (the
+    tournament computes multiset top-``s``, the eager masking select
+    deduplicates — only distinctness makes them provably identical for
+    every hash coefficient).
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    elements = np.asarray(elements, dtype=np.int64)
+    lengths = np.diff(indptr)
+    n_seg = lengths.size
+    if n_seg == 0 or elements.size == 0:
+        return None
+    if int(lengths.min()) < s:
+        return None
+    # Distinctness proof: one packed sort over (segment, value) pairs.
+    seg_of = np.repeat(np.arange(n_seg, dtype=np.uint64), lengths)
+    packed = seg_of * np.uint64(n_values) + elements.astype(np.uint64)
+    packed.sort()
+    if packed.size > 1 and np.any(packed[1:] == packed[:-1]):
+        return None
+
+    buckets = _ceil_pow2(lengths)
+    perm = np.argsort(buckets, kind="stable")
+    inv = np.empty(n_seg, dtype=np.int64)
+    inv[perm] = np.arange(n_seg, dtype=np.int64)
+    plan = TournamentPlan(
+        n_seg=n_seg, n_values=n_values,
+        iota=np.arange(n_values + 1, dtype=np.uint64),
+        perm=perm, perm_cols=perm.astype(np.uint64), col_to_row=inv)
+
+    sorted_buckets = buckets[perm]
+    boundaries = np.flatnonzero(
+        np.concatenate(([True], sorted_buckets[1:] != sorted_buckets[:-1])))
+    edges = np.append(boundaries, n_seg)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        segs = perm[lo:hi]
+        seg_lengths = lengths[segs]
+        pad_len = int(seg_lengths.max())
+        idx = np.full((pad_len, segs.size), n_values, dtype=np.int64)
+        starts = indptr[segs]
+        for j in range(pad_len):
+            live = seg_lengths > j
+            idx[j, live] = elements[starts[live] + j]
+        plan.bins.append((int(lo), idx))
+    return plan
+
+
+def run_tournament(plan: TournamentPlan, pool: ScratchPool | None,
+                   a: np.ndarray, b: np.ndarray, prime: int, s: int,
+                   out32: np.ndarray) -> np.ndarray:
+    """Hash table + binned min tournaments: top-``s`` keys per segment.
+
+    Writes each segment's ascending top-``s`` hash keys into ``out32``
+    (``(t, n_seg, s)`` uint32, *bin-permuted* column order).  Equal to
+    ``fused_hash`` + ``segmented_select_top_s`` composed with ``plan.perm``
+    whenever the plan exists and ``a != 0``.  Each bin keeps ``s`` running
+    registers: a gathered row is min/max-swapped down the chain, and the
+    last register's displaced maximum is never read, so its ``maximum`` is
+    skipped.
+    """
+    a = np.asarray(a, dtype=np.uint64).reshape(-1, 1)
+    b = np.asarray(b, dtype=np.uint64).reshape(-1, 1)
+    t = a.shape[0]
+    nv = plan.n_values
+    table64 = _take(pool, (t, nv + 1), np.uint64)
+    with np.errstate(over="ignore"):
+        np.multiply(a, plan.iota, out=table64)
+        np.add(table64, b, out=table64)
+        np.remainder(table64, np.uint64(prime), out=table64)
+    table = _take(pool, (t, nv + 1), np.uint32)
+    np.copyto(table, table64, casting="unsafe")
+    table[:, nv] = SENTINEL32
+    _give(pool, table64)
+    for pos0, idx in plan.bins:
+        rows, m = idx.shape
+        regs = [_take(pool, (t, m), np.uint32) for _ in range(s)]
+        np.take(table, idx[0], axis=1, out=regs[0], mode="clip")
+        for r in range(1, s):
+            regs[r].fill(SENTINEL32)
+        if rows > 1:
+            x = _take(pool, (t, m), np.uint32)
+            swap = _take(pool, (t, m), np.uint32)
+            for j in range(1, rows):
+                np.take(table, idx[j], axis=1, out=x, mode="clip")
+                cur, spare = x, swap
+                for r in range(s):
+                    if r < s - 1:
+                        np.maximum(regs[r], cur, out=spare)
+                    np.minimum(regs[r], cur, out=regs[r])
+                    if r < s - 1:
+                        cur, spare = spare, cur
+            _give(pool, x, swap)
+        for r in range(s):
+            out32[:, pos0:pos0 + m, r] = regs[r]
+        _give(pool, *regs)
+    _give(pool, table)
+    return out32
+
+
 def _ranks_within(counts: np.ndarray) -> np.ndarray:
     """``[0..c0-1, 0..c1-1, ...]`` for a counts array (vectorized iota)."""
     total = int(counts.sum())
@@ -511,8 +660,8 @@ def chunk_reduce(top_ids: np.ndarray, salts: np.ndarray, gen_ids: np.ndarray,
     n_values:
         Exclusive upper bound on member ids (the tuple-key base).
     col_ids, col_to_row:
-        Launch-graph replay support for *column-permuted* ``top_ids``
-        blocks: ``col_ids`` (``(n,)`` uint64) supplies the ORIGINAL column
+        Support for *column-permuted* ``top_ids`` blocks (the tournament's
+        bin order, see :class:`TournamentPlan`): ``col_ids`` (``(n,)`` uint64) supplies the ORIGINAL column
         id of each permuted position for the packed key (instead of
         ``arange(n)``), and ``col_to_row`` (``(n,)`` int64) maps an original
         column back to its permuted row for the member gather.  Because the

@@ -160,3 +160,39 @@ class TestProfileFlag:
                      "--c1", "10", "--c2", "5", "--kernel", "select"]) == 0
         with np.load(out_f) as a, np.load(out_s) as b:
             assert np.array_equal(a["labels"], b["labels"])
+
+
+class TestBadInput:
+    """Bad parameters and missing inputs end in one line and exit code 2."""
+
+    BAD_PARAMS = [["--c1", "0"],
+                  ["--streams", "0", "--exec-mode", "multistream"],
+                  ["--devices", "0"]]
+
+    def _assert_one_line_error(self, capsys, code):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("args", BAD_PARAMS)
+    def test_cluster_bad_params(self, bench_files, capsys, args):
+        capsys.readouterr()
+        code = main(["cluster", str(bench_files.with_suffix(".npz"))] + args)
+        self._assert_one_line_error(capsys, code)
+
+    @pytest.mark.parametrize("args", BAD_PARAMS)
+    def test_pipeline_bad_params(self, tmp_path, capsys, args):
+        stem = tmp_path / "seqs"
+        main(["generate", "--families", "3", "--fasta", "--out", str(stem)])
+        capsys.readouterr()
+        code = main(["pipeline", str(stem.with_suffix(".fasta"))] + args)
+        self._assert_one_line_error(capsys, code)
+
+    def test_cluster_missing_graph(self, tmp_path, capsys):
+        code = main(["cluster", str(tmp_path / "absent.npz")])
+        self._assert_one_line_error(capsys, code)
+
+    def test_pipeline_missing_fasta(self, tmp_path, capsys):
+        code = main(["pipeline", str(tmp_path / "absent.fasta")])
+        self._assert_one_line_error(capsys, code)

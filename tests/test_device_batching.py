@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.device.batching import max_batch_elements, plan_batches
+from repro.device.batching import (_greedy_batches, _single_batch,
+                                   max_batch_elements, plan_batches)
 
 
 def indptr_from_lengths(lengths):
@@ -106,3 +107,24 @@ class TestMaxBatchElements:
     def test_too_small_capacity_rejected(self):
         with pytest.raises(ValueError):
             max_batch_elements(8, n_trials_chunk=16, s=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 12), max_size=40), st.integers(0, 30))
+def test_single_batch_fast_path_equals_loop(lengths, slack):
+    """When everything fits, the direct plan equals the per-segment loop."""
+    indptr = indptr_from_lengths(lengths)
+    nnz = int(indptr[-1])
+    max_elements = max(nnz + slack, 1)
+    loop = _greedy_batches(indptr, max_elements)
+    plan = plan_batches(indptr, max_elements)
+    assert len(plan.batches) == len(loop) == (1 if nnz else 0)
+    if nnz:
+        fast, want = _single_batch(indptr), loop[0]
+        for got in (fast, plan.batches[0]):
+            assert (got.element_lo, got.element_hi) == (want.element_lo,
+                                                         want.element_hi)
+            for name in ("local_indptr", "segment_ids", "is_split"):
+                have, ref = getattr(got, name), getattr(want, name)
+                assert have.dtype == ref.dtype, name
+                assert np.array_equal(have, ref), name
