@@ -25,21 +25,23 @@ Quickstart::
     print(result.summary())
 """
 
-import repro.baselines as baselines
-import repro.eval as eval  # noqa: A004 - deliberate subpackage re-export
-import repro.pipeline as pipeline
-import repro.sequence as sequence
-import repro.synthdata as synthdata
-from repro.core import (
-    ClusterResult,
-    GpClust,
-    SerialPClust,
-    ShinglingParams,
-    cluster_by_components,
-    cluster_graph,
-)
-from repro.device import DeviceSpec, SimulatedDevice
-from repro.graph import CSRGraph
+import importlib
+
+#: Subpackages and re-exports resolve on first attribute access (PEP 562),
+#: so importing one module (``repro.core.pipeline``) does not import every
+#: subpackage — nor their dependencies, such as ``scipy.sparse``.
+_SUBPACKAGES = ("baselines", "eval", "pipeline", "sequence", "synthdata")
+_EXPORTS = {
+    "ClusterResult": "repro.core",
+    "GpClust": "repro.core",
+    "SerialPClust": "repro.core",
+    "ShinglingParams": "repro.core",
+    "cluster_by_components": "repro.core",
+    "cluster_graph": "repro.core",
+    "DeviceSpec": "repro.device",
+    "SimulatedDevice": "repro.device",
+    "CSRGraph": "repro.graph",
+}
 
 __version__ = "1.0.0"
 
@@ -60,3 +62,18 @@ __all__ = [
     "synthdata",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        value = importlib.import_module(f"repro.{name}")
+    elif name in _EXPORTS:
+        value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    else:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -107,10 +107,11 @@ def device_shingle_pass(
     s, c = config.s, config.c
     t_start = time.perf_counter()
 
+    capacity = device.spec.memory_capacity_bytes
+    derived_budget = max_elements is None
     with breakdown.timing(BUCKET_CPU):
-        if max_elements is None:
-            max_elements = max_batch_elements(
-                device.spec.memory_capacity_bytes, trial_chunk, s)
+        if derived_budget:
+            max_elements = max_batch_elements(capacity, trial_chunk, s)
         max_elements = max(max_elements // plan.resident_factor, 1)
         all_lengths = np.diff(indptr)
         n_seg = all_lengths.size
@@ -127,8 +128,19 @@ def device_shingle_pass(
         # Exclusive element-id bound; sizes the fused kernel's hash table
         # and the on-device reduction's packed keys.
         n_values = int(elements.max()) + 1 if elements.size else 1
-        batch_plan = plan_batches(compact_indptr, max_elements)
         chunks = trial_chunks(c, trial_chunk)
+        with device.obs.tracer.span("exec.plan_batches") as span:
+            batch_plan = plan_batches(compact_indptr, max_elements)
+            resident_tables = False
+            if kernel == KERNEL_FUSED and batch_plan.n_batches > 1:
+                tables_plan = _resident_tables_plan(
+                    compact_indptr, batch_plan, chunks, plan,
+                    len(_members_of(device)), capacity, trial_chunk, s,
+                    n_values, derived_budget)
+                if tables_plan is not None:
+                    batch_plan, resident_tables = tables_plan, True
+            span.set(n_batches=batch_plan.n_batches,
+                     resident_tables=resident_tables)
 
     if batch_plan.n_batches == 1:
         result = _single_batch_streaming(
@@ -137,7 +149,8 @@ def device_shingle_pass(
     else:
         result = _multi_batch_accumulate(
             device, elements, batch_plan, chunks, config, kernel, plan,
-            lengths, valid_ids, n_seg, n_values)
+            lengths, valid_ids, n_seg, n_values,
+            resident_tables=resident_tables)
 
     # Dedup accounting: how many (trial, segment) shingle occurrence slots
     # collapsed into distinct fingerprints this pass (the shingle dedup
@@ -159,6 +172,52 @@ def _members_of(device) -> list[SimulatedDevice]:
     return device.members if isinstance(device, DeviceGroup) else [device]
 
 
+def _chunk_owners(plan: ExecutionPlan, chunks, n_members: int) -> list[int]:
+    """Member index each trial chunk runs on, in every batch of a pass.
+
+    ``multidevice`` over several members assigns chunks to the least-loaded
+    member by trial count (nnz is constant within a batch, so trials are
+    proportional to modeled kernel cost); every other schedule runs on the
+    first member.
+    """
+    if plan.mode == EXEC_MULTIDEVICE and n_members > 1:
+        return least_loaded_assignment([hi - lo for lo, hi in chunks],
+                                       n_members)
+    return [0] * len(chunks)
+
+
+def _resident_tables_plan(compact_indptr: np.ndarray, batch_plan, chunks,
+                          plan: ExecutionPlan, n_members: int, capacity: int,
+                          trial_chunk: int, s: int, n_values: int,
+                          derived_budget: bool):
+    """The batch plan of a fused multi-batch pass with resident hash tables.
+
+    Each trial chunk's ``(t, n_values)`` uint32 table is built once per
+    pass on the member that runs the chunk and stays resident across
+    batches, so the batch element budget comes from the capacity left
+    beside the largest member's tables.  Returns ``None`` — keep building
+    a table per batch inside ``fused_hash`` — when the tables would take
+    more than half the device, or when no batch reaches ``n_values``
+    elements (``fused_hash`` would hash those batches directly).
+    """
+    loads = [0] * n_members
+    for (lo, hi), owner in zip(chunks, _chunk_owners(plan, chunks, n_members)):
+        loads[owner] += hi - lo
+    table_bytes = max(loads) * n_values * np.dtype(np.uint32).itemsize
+    if 2 * table_bytes > capacity:
+        return None
+    if derived_budget:
+        try:
+            budget = max_batch_elements(capacity - table_bytes, trial_chunk, s)
+        except ValueError:  # no element fits beside the tables
+            return None
+        batch_plan = plan_batches(
+            compact_indptr, max(budget // plan.resident_factor, 1))
+    if n_values > max(batch.n_elements for batch in batch_plan):
+        return None
+    return batch_plan
+
+
 def _broadcast(device, members, multi: bool, host_array: np.ndarray):
     """Input residency per member: group broadcast, or one plain upload."""
     if multi:
@@ -171,11 +230,10 @@ def _run_chunks(plan: ExecutionPlan, chunks, work,
                 first_alone: bool = False) -> None:
     """Execute ``work(lo, hi, dev)`` for every trial chunk under the plan.
 
-    ``multidevice`` with several members statically assigns chunks to the
-    least-loaded member by trial count (nnz is constant within a batch, so
-    trials are proportional to modeled kernel cost) and runs one driver
-    thread per member — named ``dev{i}`` so each device's kernel rounds
-    render as their own trace track.  Static-by-cost assignment keeps every
+    ``multidevice`` with several members statically assigns chunks by
+    :func:`_chunk_owners` and runs one driver thread per member — named
+    ``dev{i}`` so each device's kernel rounds render as their own trace
+    track.  Static-by-cost assignment keeps every
     member's kernel stream deterministic; the out-of-order-tolerant
     aggregation downstream makes completion order immaterial.
 
@@ -184,8 +242,7 @@ def _run_chunks(plan: ExecutionPlan, chunks, work,
     """
     if (plan.mode == EXEC_MULTIDEVICE and members is not None
             and len(members) > 1):
-        owners = least_loaded_assignment([hi - lo for lo, hi in chunks],
-                                         len(members))
+        owners = _chunk_owners(plan, chunks, len(members))
         per_dev: list[list[tuple[int, int]]] = [[] for _ in members]
         for chunk, owner in zip(chunks, owners):
             per_dev[owner].append(chunk)
@@ -399,6 +456,7 @@ def _multi_batch_accumulate(
     valid_ids: np.ndarray,
     n_seg: int,
     n_values: int,
+    resident_tables: bool = False,
 ) -> PassResult:
     """General path: several batches, scatter into pass-level accumulators.
 
@@ -406,6 +464,12 @@ def _multi_batch_accumulate(
     chunks may run on concurrent streams (``multistream``) or shard across
     a device group (``multidevice``, batches broadcast member-to-member);
     the final aggregation happens once, after split lists are merged.
+
+    With ``resident_tables`` (fused kernel; see
+    :func:`_resident_tables_plan`) each trial chunk's hash table is built
+    once, before the first batch, on the member that runs the chunk, and
+    every batch gathers its keys from it; the tables are freed when the
+    pass ends.
     """
     breakdown = device.breakdown
     group_members = _members_of(device)
@@ -429,7 +493,16 @@ def _multi_batch_accumulate(
     uploader = (ThreadPoolExecutor(max_workers=1, thread_name_prefix="copy")
                 if plan.mode == EXEC_PREFETCH else None)
     pending = None
+    d_tables: dict = {}   # trial-chunk start -> resident hash table
+
+    def build_table(lo: int, hi: int, dev: int) -> None:
+        d_tables[lo] = group_members[dev].hash_table(
+            a=a[lo:hi], b=b[lo:hi], prime=config.prime, n_values=n_values,
+            label=f"trials {lo}-{hi - 1}")
+
     try:
+        if resident_tables:
+            _run_chunks(plan, chunks, build_table, members=group_members)
         for bi, batch in enumerate(batch_plan):
             if uploader is None:
                 d_elems, d_indptrs = _upload(batch)
@@ -452,7 +525,7 @@ def _multi_batch_accumulate(
                     d_elems[dev], d_indptrs[dev],
                     a=a[lo:hi], b=b[lo:hi], prime=config.prime, s=s,
                     salts=salts[lo:hi], kernel=kernel, seg_ids=seg_ids_table,
-                    n_values=n_values,
+                    n_values=n_values, table=d_tables.get(lo),
                     out_fps=fps_b[lo:hi], out_top=top_b[lo:hi],
                     label=f"batch {bi} trials {lo}-{hi - 1}")
 
@@ -471,6 +544,7 @@ def _multi_batch_accumulate(
     finally:
         if uploader is not None:
             uploader.shutdown(wait=True)
+        device.free(*d_tables.values())
 
     with breakdown.timing(BUCKET_CPU), \
             tracer.span("exec.aggregate", n_splits=len(split_chunks)):

@@ -121,88 +121,58 @@ def plan_batches(indptr: np.ndarray, max_elements: int) -> BatchPlan:
     keeping batches near-full for big lists.
 
     Empty segments carry no work and appear in no batch; they rejoin in
-    aggregation.  When the whole buffer fits one batch the plan is built
-    directly, without the per-segment loop.
+    aggregation.  Each batch costs one ``searchsorted`` step over the
+    non-empty segments' boundaries, never a per-segment loop.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     if max_elements < 1:
         raise ValueError("max_elements must be >= 1")
     n_seg = indptr.size - 1
     nnz = int(indptr[-1])
-    if 0 < nnz <= max_elements:
-        batches = [_single_batch(indptr)]
-    else:
-        batches = _greedy_batches(indptr, max_elements)
+    ids = np.flatnonzero(np.diff(indptr))
+    starts, ends = indptr[ids], indptr[ids + 1]
+    full = ends - starts
+    batches: list[Batch] = []
+    lo = 0
+    while lo < nnz:
+        hi = _batch_end(starts, ends, lo, max_elements, nnz)
+        # Non-empty segments overlapping [lo, hi), clipped to the batch.
+        first = int(np.searchsorted(ends, lo, side="right"))
+        last = int(np.searchsorted(starts, hi, side="left"))
+        piece_lo = np.maximum(starts[first:last], lo)
+        piece_hi = np.minimum(ends[first:last], hi)
+        local_indptr = np.empty(last - first + 1, dtype=np.int64)
+        local_indptr[0] = 0
+        np.subtract(piece_hi, lo, out=local_indptr[1:])
+        batches.append(Batch(
+            element_lo=lo, element_hi=hi, local_indptr=local_indptr,
+            segment_ids=ids[first:last].astype(np.int64),
+            is_split=(piece_hi - piece_lo) < full[first:last]))
+        lo = hi
     plan = BatchPlan(batches=batches, max_elements_per_batch=max_elements,
                      n_source_segments=n_seg)
     _validate_plan(plan, indptr, nnz)
     return plan
 
 
-def _single_batch(indptr: np.ndarray) -> Batch:
-    """The one batch holding every non-empty segment whole."""
-    lengths = np.diff(indptr)
-    segment_ids = np.flatnonzero(lengths)
-    local_indptr = np.zeros(segment_ids.size + 1, dtype=np.int64)
-    np.cumsum(lengths[segment_ids], out=local_indptr[1:])
-    return Batch(element_lo=0, element_hi=int(local_indptr[-1]),
-                 local_indptr=local_indptr,
-                 segment_ids=segment_ids.astype(np.int64),
-                 is_split=np.zeros(segment_ids.size, dtype=bool))
+def _batch_end(starts: np.ndarray, ends: np.ndarray, lo: int,
+               max_elements: int, nnz: int) -> int:
+    """Where the batch opening at element ``lo`` closes.
 
-
-def _greedy_batches(indptr: np.ndarray, max_elements: int) -> list[Batch]:
-    """The per-segment packing loop behind :func:`plan_batches`."""
-    n_seg = indptr.size - 1
-    batches: list[Batch] = []
-    cur_lo = 0                      # element offset where current batch starts
-    cur_fill = 0                    # elements used in current batch
-    cur_bounds: list[int] = [0]     # local indptr under construction
-    cur_ids: list[int] = []
-    cur_split: list[bool] = []
-
-    def flush() -> None:
-        nonlocal cur_lo, cur_fill, cur_bounds, cur_ids, cur_split
-        if cur_fill == 0 and not cur_ids:
-            return
-        batches.append(Batch(
-            element_lo=cur_lo,
-            element_hi=cur_lo + cur_fill,
-            local_indptr=np.asarray(cur_bounds, dtype=np.int64),
-            segment_ids=np.asarray(cur_ids, dtype=np.int64),
-            is_split=np.asarray(cur_split, dtype=bool),
-        ))
-        cur_lo += cur_fill
-        cur_fill = 0
-        cur_bounds = [0]
-        cur_ids = []
-        cur_split = []
-
-    for seg in range(n_seg):
-        remaining = int(indptr[seg + 1] - indptr[seg])
-        if remaining == 0:
-            continue  # empty segments carry no work; they rejoin in aggregation
-        while remaining > 0:
-            space = max_elements - cur_fill
-            if remaining <= space:
-                take = remaining
-            elif space >= max_elements // 2 or remaining > max_elements:
-                take = space  # split: fill the batch
-            else:
-                flush()
-                continue
-            if take == 0:
-                flush()
-                continue
-            cur_fill += take
-            cur_bounds.append(cur_fill)
-            cur_ids.append(seg)
-            cur_split.append(take < int(indptr[seg + 1] - indptr[seg]))
-            remaining -= take
-            if cur_fill == max_elements:
-                flush()
-    flush()
-    return batches
+    Whole segments fill the batch up to the first segment that crosses
+    ``lo + max_elements``; that segment is split at the cap when the batch
+    still has at least half its space left or the segment's remainder
+    exceeds a whole batch, and otherwise opens the next batch.
+    """
+    cap = lo + max_elements
+    cross = int(np.searchsorted(ends, cap, side="right"))
+    if cross == ends.size:
+        return nnz
+    piece_lo = max(int(starts[cross]), lo)
+    remainder = int(ends[cross]) - piece_lo
+    if cap - piece_lo >= max_elements // 2 or remainder > max_elements:
+        return cap
+    return piece_lo
 
 
 # --------------------------------------------------------------------- #

@@ -323,6 +323,35 @@ class SimulatedDevice:
 
         return fps_host, top_host
 
+    def hash_table(self, *, a: np.ndarray, b: np.ndarray, prime: int,
+                   n_values: int, label: str = "hash table") -> DeviceBuffer:
+        """Build one trial chunk's ``(t, n_values)`` hash table on the device.
+
+        The table stays resident (charged to :attr:`memory`) until the
+        caller frees it, so every batch of an out-of-core pass gathers its
+        fused keys from it (``shingle_chunk(table=...)``) instead of
+        rebuilding it per batch.  One ``hash_table`` launch over
+        ``t * n_values`` elements, costed as a transform.
+        """
+        t = len(a)
+        d_table = self.memory.alloc((t, n_values), np.uint32)
+        t0 = time.perf_counter()
+        kernels.hash_table(a, b, prime, n_values, out=d_table.device_view(),
+                           scratch=self.scratch)
+        t1 = time.perf_counter()
+        self.breakdown.add(BUCKET_GPU, t1 - t0)
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            tracer.record("device.hash_table", t0, t1, proc=self.proc,
+                          attrs={"trials": t, "n_values": n_values,
+                                 "bytes": d_table.nbytes, "label": label})
+        modeled = self.spec.kernels.seconds_for("transform", t * n_values)
+        self._record_kernel("hash_table", t * n_values, modeled)
+        self.breakdown.add_modeled(BUCKET_GPU, modeled)
+        if self.timeline is not None:
+            self.timeline.record(BUCKET_GPU, label, modeled)
+        return d_table
+
     def shingle_chunk(
         self,
         d_elements: DeviceBuffer,
@@ -336,6 +365,7 @@ class SimulatedDevice:
         kernel: str = "select",
         seg_ids: np.ndarray | None = None,
         n_values: int | None = None,
+        table: DeviceBuffer | None = None,
         out_fps: np.ndarray | None = None,
         out_top: np.ndarray | None = None,
         label: str = "trial chunk",
@@ -354,8 +384,9 @@ class SimulatedDevice:
         key buffer, one launch) and recovers ids/packed pairs from the
         selected top block via the inverse affine map; ``n_values`` (the
         exclusive id upper bound, computed once per batch by the driver)
-        sizes its lookup table.  Output is bit-identical to the other
-        kernels.
+        sizes its lookup table, or ``table`` — a resident :meth:`hash_table`
+        for the same trials — replaces the per-call table build with a
+        gather.  Output is bit-identical to the other kernels.
 
         Returns the ``(fps, top)`` host arrays for trials ``a``/``b``/``salts``
         describe — shapes ``(t, n_seg)`` and ``(t, n_seg, s)``.
@@ -372,8 +403,10 @@ class SimulatedDevice:
         t0 = time.perf_counter()
         if kernel == "fused":
             keys = pool.take((t, nnz), np.uint32)
-            kernels.fused_hash(elements, a, b, prime, out=keys,
-                               scratch=pool, n_values=n_values)
+            kernels.fused_hash(
+                elements, a, b, prime, out=keys, scratch=pool,
+                n_values=n_values,
+                table=table.device_view() if table is not None else None)
             d_work = self.memory.adopt(keys)         # working set on device
             top32 = pool.take((t, n_seg, s), np.uint32)
             kernels.segmented_select_top_s(keys, indptr, s, scratch=pool,
@@ -525,9 +558,14 @@ class SimulatedDevice:
         if executor == "tournament":
             kernels.run_tournament(plan, pool, a, b, prime, s, out32=top32)
         else:
+            # The verify round builds the tournament's table once; the
+            # eager keys gather from its first n_values columns.
+            table = (kernels.tournament_table(a, b, prime, plan.n_values,
+                                              pool)
+                     if executor == "verify" else None)
             keys = pool.take((t, nnz), np.uint32)
             kernels.fused_hash(elements, a, b, prime, out=keys,
-                               scratch=pool, n_values=n_values)
+                               scratch=pool, n_values=n_values, table=table)
             small.append(keys)
             d_work = self.memory.adopt(keys)
             kernels.segmented_select_top_s(keys, indptr, s, scratch=pool,
@@ -536,10 +574,10 @@ class SimulatedDevice:
             if executor == "verify":
                 check = pool.take((t, n_seg, s), np.uint32)
                 kernels.run_tournament(plan, pool, a, b, prime, s,
-                                       out32=check)
+                                       out32=check, table=table)
                 plan.verified = bool(
                     np.array_equal(check, top32[:, plan.perm, :]))
-                pool.give(check)
+                pool.give(check, table)
         top_ids = pool.take((t, n_seg, s), np.uint64)
         small.append(top_ids)
         # Pre-compacted input (driver contract): no sentinel padding exists.

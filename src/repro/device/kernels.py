@@ -23,6 +23,10 @@ Kernel inventory
 ``pack_pairs`` / ``unpack_pairs`` / ``unpack_ids``
     Pack (hash, id) into one uint64 so a single segmented min yields both the
     minimum hash and its original element.
+``hash_table``
+    ``thrust::transform`` over the id range: a trial chunk's ``(T,
+    n_values)`` uint32 hash of every id, built once and gathered by every
+    batch over those ids (out-of-core passes keep it device-resident).
 ``fused_hash``
     Fused hash+pack: because the affine map is injective mod P, the uint32
     hash alone *is* the packed pair — one transform launch writes one
@@ -100,6 +104,12 @@ def _give(pool: ScratchPool | None, *arrays: np.ndarray) -> None:
         pool.give(*arrays)
 
 
+def _check_prime(prime: int) -> None:
+    # Products a*v must stay below 2**64: both factors < ~2**31.5.
+    if prime <= 0 or prime > (1 << 31) + (1 << 20):
+        raise ValueError(f"prime {prime} outside supported range")
+
+
 def affine_hash(values: np.ndarray, a: np.ndarray, b: np.ndarray, prime: int,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Min-wise hash a flat element buffer under a chunk of trials.
@@ -124,9 +134,7 @@ def affine_hash(values: np.ndarray, a: np.ndarray, b: np.ndarray, prime: int,
     v = np.asarray(values, dtype=np.uint64)
     a = np.asarray(a, dtype=np.uint64).reshape(-1, 1)
     b = np.asarray(b, dtype=np.uint64).reshape(-1, 1)
-    if prime <= 0 or prime > (1 << 31) + (1 << 20):
-        # Products a*v must stay below 2**64: both factors < ~2**31.5.
-        raise ValueError(f"prime {prime} outside supported range")
+    _check_prime(prime)
     with np.errstate(over="ignore"):
         if out is None:
             return (a * v + b) % np.uint64(prime)
@@ -176,10 +184,37 @@ def unpack_ids(packed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def hash_table(a: np.ndarray, b: np.ndarray, prime: int, n_values: int,
+               out: np.ndarray | None = None,
+               scratch: ScratchPool | None = None) -> np.ndarray:
+    """``(T, n_values)`` uint32 lookup table of ``h_j(v)`` for every id ``v``.
+
+    One transform over the id range instead of the element buffer: every
+    batch over ids ``< n_values`` can gather its fused keys from it.  ``out``
+    may be wider than ``n_values`` columns; the extra columns are left
+    untouched (the tournament keeps its sentinel there).
+    """
+    _check_prime(prime)
+    a = np.asarray(a, dtype=np.uint64).reshape(-1, 1)
+    b = np.asarray(b, dtype=np.uint64).reshape(-1, 1)
+    t = a.shape[0]
+    if out is None:
+        out = np.empty((t, n_values), dtype=np.uint32)
+    table64 = _take(scratch, (t, n_values), np.uint64)
+    with np.errstate(over="ignore"):
+        np.multiply(a, np.arange(n_values, dtype=np.uint64), out=table64)
+        np.add(table64, b, out=table64)
+        np.remainder(table64, np.uint64(prime), out=table64)
+    np.copyto(out[:, :n_values], table64, casting="unsafe")
+    _give(scratch, table64)
+    return out
+
+
 def fused_hash(values: np.ndarray, a: np.ndarray, b: np.ndarray, prime: int,
                out: np.ndarray | None = None,
                scratch: ScratchPool | None = None,
-               n_values: int | None = None) -> np.ndarray:
+               n_values: int | None = None,
+               table: np.ndarray | None = None) -> np.ndarray:
     """Fused hash+pack: one uint32 key buffer replaces hash + packed matrices.
 
     The affine map ``h(v) = (a*v + b) mod P`` is injective for ``a`` in
@@ -190,42 +225,42 @@ def fused_hash(values: np.ndarray, a: np.ndarray, b: np.ndarray, prime: int,
     the work of :func:`affine_hash` + :func:`pack_pairs` with half the key
     bytes for the selection kernel.
 
-    When the id range ``n_values`` is smaller than the element buffer, the
-    hash is evaluated once per distinct id into a ``(T, n_values)`` lookup
-    table and gathered (each table row is hit ``nnz / n_values`` times);
-    otherwise the buffer is hashed directly.  Both give identical keys.
+    A prebuilt :func:`hash_table` for the same trials (at least
+    ``max(values) + 1`` columns) is only gathered from.  Without one, when
+    the id range ``n_values`` is smaller than the element buffer, the table
+    is built for this call and gathered (each table row is hit
+    ``nnz / n_values`` times); otherwise the buffer is hashed directly.
+    All give identical keys.
     """
     v = np.asarray(values)
-    a = np.asarray(a, dtype=np.uint64).reshape(-1, 1)
-    b = np.asarray(b, dtype=np.uint64).reshape(-1, 1)
-    if prime <= 0 or prime > (1 << 31) + (1 << 20):
-        raise ValueError(f"prime {prime} outside supported range")
-    t, nnz = a.shape[0], v.size
+    _check_prime(prime)
+    t, nnz = np.asarray(a).size, v.size
     if out is None:
         out = np.empty((t, nnz), dtype=np.uint32)
     if nnz == 0:
         return out
+    if table is not None:
+        np.take(table, v, axis=1, out=out, mode="clip")
+        return out
     if n_values is None:
         n_values = int(v.max()) + 1
-    p64 = np.uint64(prime)
+    if n_values <= nnz:
+        table32 = hash_table(a, b, prime, n_values,
+                             out=_take(scratch, (t, n_values), np.uint32),
+                             scratch=scratch)
+        np.take(table32, v, axis=1, out=out, mode="clip")
+        _give(scratch, table32)
+        return out
+    a = np.asarray(a, dtype=np.uint64).reshape(-1, 1)
+    b = np.asarray(b, dtype=np.uint64).reshape(-1, 1)
+    v64 = v.view(np.uint64) if v.dtype == np.int64 else v.astype(np.uint64)
+    h64 = _take(scratch, (t, nnz), np.uint64)
     with np.errstate(over="ignore"):
-        if n_values <= nnz:
-            table64 = _take(scratch, (t, n_values), np.uint64)
-            np.multiply(a, np.arange(n_values, dtype=np.uint64), out=table64)
-            np.add(table64, b, out=table64)
-            np.remainder(table64, p64, out=table64)
-            table32 = _take(scratch, (t, n_values), np.uint32)
-            np.copyto(table32, table64, casting="unsafe")
-            np.take(table32, v, axis=1, out=out, mode="clip")
-            _give(scratch, table64, table32)
-        else:
-            v64 = v.view(np.uint64) if v.dtype == np.int64 else v.astype(np.uint64)
-            h64 = _take(scratch, (t, nnz), np.uint64)
-            np.multiply(a, v64, out=h64)
-            np.add(h64, b, out=h64)
-            np.remainder(h64, p64, out=h64)
-            np.copyto(out, h64, casting="unsafe")
-            _give(scratch, h64)
+        np.multiply(a, v64, out=h64)
+        np.add(h64, b, out=h64)
+        np.remainder(h64, np.uint64(prime), out=h64)
+    np.copyto(out, h64, casting="unsafe")
+    _give(scratch, h64)
     return out
 
 
@@ -458,7 +493,6 @@ class TournamentPlan:
 
     n_seg: int
     n_values: int
-    iota: np.ndarray                       # (n_values+1,) uint64
     bins: list = field(default_factory=list)
     perm: np.ndarray | None = None         # (n_seg,) int64, permuted -> original
     perm_cols: np.ndarray | None = None    # (n_seg,) uint64 original column ids
@@ -507,9 +541,8 @@ def build_tournament_plan(elements: np.ndarray, indptr: np.ndarray,
     inv = np.empty(n_seg, dtype=np.int64)
     inv[perm] = np.arange(n_seg, dtype=np.int64)
     plan = TournamentPlan(
-        n_seg=n_seg, n_values=n_values,
-        iota=np.arange(n_values + 1, dtype=np.uint64),
-        perm=perm, perm_cols=perm.astype(np.uint64), col_to_row=inv)
+        n_seg=n_seg, n_values=n_values, perm=perm,
+        perm_cols=perm.astype(np.uint64), col_to_row=inv)
 
     sorted_buckets = buckets[perm]
     boundaries = np.flatnonzero(
@@ -528,9 +561,23 @@ def build_tournament_plan(elements: np.ndarray, indptr: np.ndarray,
     return plan
 
 
+def tournament_table(a: np.ndarray, b: np.ndarray, prime: int,
+                     n_values: int, pool: ScratchPool | None) -> np.ndarray:
+    """:func:`hash_table` plus the tournament's pad column ``n_values``.
+
+    The pad column holds ``SENTINEL32``; the first ``n_values`` columns are
+    the plain hash table, so eager keys may gather from the same buffer.
+    """
+    table = _take(pool, (np.asarray(a).size, n_values + 1), np.uint32)
+    hash_table(a, b, prime, n_values, out=table, scratch=pool)
+    table[:, n_values] = SENTINEL32
+    return table
+
+
 def run_tournament(plan: TournamentPlan, pool: ScratchPool | None,
                    a: np.ndarray, b: np.ndarray, prime: int, s: int,
-                   out32: np.ndarray) -> np.ndarray:
+                   out32: np.ndarray,
+                   table: np.ndarray | None = None) -> np.ndarray:
     """Hash table + binned min tournaments: top-``s`` keys per segment.
 
     Writes each segment's ascending top-``s`` hash keys into ``out32``
@@ -539,21 +586,13 @@ def run_tournament(plan: TournamentPlan, pool: ScratchPool | None,
     whenever the plan exists and ``a != 0``.  Each bin keeps ``s`` running
     registers: a gathered row is min/max-swapped down the chain, and the
     last register's displaced maximum is never read, so its ``maximum`` is
-    skipped.
+    skipped.  ``table`` is a caller-owned :func:`tournament_table` for the
+    same trials; without one the call builds (and releases) its own.
     """
-    a = np.asarray(a, dtype=np.uint64).reshape(-1, 1)
-    b = np.asarray(b, dtype=np.uint64).reshape(-1, 1)
-    t = a.shape[0]
-    nv = plan.n_values
-    table64 = _take(pool, (t, nv + 1), np.uint64)
-    with np.errstate(over="ignore"):
-        np.multiply(a, plan.iota, out=table64)
-        np.add(table64, b, out=table64)
-        np.remainder(table64, np.uint64(prime), out=table64)
-    table = _take(pool, (t, nv + 1), np.uint32)
-    np.copyto(table, table64, casting="unsafe")
-    table[:, nv] = SENTINEL32
-    _give(pool, table64)
+    t = np.asarray(a).size
+    owned = table is None
+    if owned:
+        table = tournament_table(a, b, prime, plan.n_values, pool)
     for pos0, idx in plan.bins:
         rows, m = idx.shape
         regs = [_take(pool, (t, m), np.uint32) for _ in range(s)]
@@ -576,7 +615,8 @@ def run_tournament(plan: TournamentPlan, pool: ScratchPool | None,
         for r in range(s):
             out32[:, pos0:pos0 + m, r] = regs[r]
         _give(pool, *regs)
-    _give(pool, table)
+    if owned:
+        _give(pool, table)
     return out32
 
 

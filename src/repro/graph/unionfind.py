@@ -229,7 +229,8 @@ def _dedup_edges(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, 
     in the edge count *per propagation round* — and shingle tables repeat the
     same (leader, member) pair tens of times.  Small universes dedup through
     an ``n*n`` presence bitmap (one linear scatter + scan); larger ones sort
-    packed 64-bit keys; degenerate inputs pass through unchanged.
+    packed 64-bit keys in place and keep each run's first key; degenerate
+    inputs pass through unchanged.
     """
     if n * n <= _BITMAP_DEDUP_CELLS:
         seen = np.zeros(n * n, dtype=bool)
@@ -237,8 +238,14 @@ def _dedup_edges(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, 
         keys = np.flatnonzero(seen)
         src, dst = keys // n, keys % n
     elif n <= (1 << 32) and src.size > 4 * n:
-        keys = np.unique((src.astype(np.uint64) << np.uint64(32))
-                         | dst.astype(np.uint64))
+        keys = (src.astype(np.uint64) << np.uint64(32)) | dst.astype(np.uint64)
+        # Sort + adjacent-difference mask: the same sorted distinct keys as
+        # np.unique, without its hash-table pass.
+        keys.sort()
+        first = np.empty(keys.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
         src = (keys >> np.uint64(32)).astype(np.int64)
         dst = (keys & np.uint64(0xFFFFFFFF)).astype(np.int64)
     loops = src == dst

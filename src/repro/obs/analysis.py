@@ -55,7 +55,7 @@ CLASS_SPAN_PREFIXES = {
     "alignment": ("device.align_bin", "device.align"),
     "aggregate": ("device.aggregate",),
     "cc": ("device.cc.",),
-    "shingle": ("device.shingle", "exec.shingle_pass"),
+    "shingle": ("device.shingle", "device.hash_table", "exec.shingle_pass"),
 }
 
 #: Transfer spans: busy time that is link occupancy, not kernel work.

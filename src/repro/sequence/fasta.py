@@ -15,28 +15,10 @@ def read_fasta(path: str | Path) -> list[tuple[str, str]]:
     """Read a FASTA file into ``[(header, sequence), ...]``.
 
     Headers lose their leading ``>``; sequence lines are concatenated and
-    uppercased.  Blank lines are ignored.
+    uppercased.  Blank lines are ignored.  Malformed input raises
+    ``ValueError`` naming the offending line (see :func:`iter_fasta`).
     """
-    records: list[tuple[str, str]] = []
-    header: str | None = None
-    chunks: list[str] = []
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith(">"):
-                if header is not None:
-                    records.append((header, "".join(chunks).upper()))
-                header = line[1:].strip()
-                chunks = []
-            else:
-                if header is None:
-                    raise ValueError("FASTA file must start with a '>' header")
-                chunks.append(line)
-        if header is not None:
-            records.append((header, "".join(chunks).upper()))
-    return records
+    return list(iter_fasta(path))
 
 
 def write_fasta(records: Iterable[tuple[str, str]], path: str | Path,
@@ -52,22 +34,42 @@ def write_fasta(records: Iterable[tuple[str, str]], path: str | Path,
 
 
 def iter_fasta(path: str | Path) -> Iterator[tuple[str, str]]:
-    """Streaming variant of :func:`read_fasta` (one record at a time)."""
+    """Streaming variant of :func:`read_fasta` (one record at a time).
+
+    Raises ``ValueError`` naming the line for sequence data before the
+    first header, for a record with no sequence, and for a record id (the
+    header's first token) that an earlier record already used.
+    """
     header: str | None = None
+    header_line = 0
     chunks: list[str] = []
+    seen: set[str] = set()
     with Path(path).open() as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith(">"):
                 if header is not None:
-                    yield header, "".join(chunks).upper()
-                header = line[1:].strip()
-                chunks = []
+                    yield _record(path, header, header_line, chunks)
+                header, header_line, chunks = line[1:].strip(), lineno, []
+                record_id = header.split()[0] if header else ""
+                if record_id in seen:
+                    raise ValueError(f"{path} line {lineno}: duplicate FASTA "
+                                     f"record id {record_id!r}")
+                seen.add(record_id)
             else:
                 if header is None:
-                    raise ValueError("FASTA file must start with a '>' header")
+                    raise ValueError(f"{path} line {lineno}: FASTA file must "
+                                     "start with a '>' header")
                 chunks.append(line)
         if header is not None:
-            yield header, "".join(chunks).upper()
+            yield _record(path, header, header_line, chunks)
+
+
+def _record(path, header: str, lineno: int,
+            chunks: list[str]) -> tuple[str, str]:
+    if not chunks:
+        raise ValueError(f"{path} line {lineno}: FASTA record {header!r} "
+                         "has no sequence")
+    return header, "".join(chunks).upper()

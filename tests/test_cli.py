@@ -196,3 +196,15 @@ class TestBadInput:
     def test_pipeline_missing_fasta(self, tmp_path, capsys):
         code = main(["pipeline", str(tmp_path / "absent.fasta")])
         self._assert_one_line_error(capsys, code)
+
+    @pytest.mark.parametrize("text,match", [
+        (">s0\nACDEFGHIK\n>s1\n>s2\nWYVACD\n", "line 3"),
+        (">s0 a\nACDEFGHIK\n>s0 b\nWYVACD\n", "line 3"),
+    ])
+    def test_pipeline_malformed_fasta(self, tmp_path, capsys, text, match):
+        path = tmp_path / "bad.fasta"
+        path.write_text(text)
+        code = main(["pipeline", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and match in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err

@@ -5,14 +5,69 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.device.batching import (_greedy_batches, _single_batch,
-                                   max_batch_elements, plan_batches)
+from repro.device.batching import Batch, max_batch_elements, plan_batches
 
 
 def indptr_from_lengths(lengths):
     indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
     indptr[1:] = np.cumsum(lengths)
     return indptr
+
+
+def reference_batches(indptr, max_elements):
+    """The per-segment packing loop :func:`plan_batches` must reproduce."""
+    batches = []
+    cur_lo, cur_fill = 0, 0
+    cur_bounds, cur_ids, cur_split = [0], [], []
+
+    def flush():
+        nonlocal cur_lo, cur_fill, cur_bounds, cur_ids, cur_split
+        if cur_fill == 0 and not cur_ids:
+            return
+        batches.append(Batch(
+            element_lo=cur_lo, element_hi=cur_lo + cur_fill,
+            local_indptr=np.asarray(cur_bounds, dtype=np.int64),
+            segment_ids=np.asarray(cur_ids, dtype=np.int64),
+            is_split=np.asarray(cur_split, dtype=bool)))
+        cur_lo += cur_fill
+        cur_fill = 0
+        cur_bounds, cur_ids, cur_split = [0], [], []
+
+    for seg in range(indptr.size - 1):
+        full = int(indptr[seg + 1] - indptr[seg])
+        remaining = full
+        while remaining > 0:
+            space = max_elements - cur_fill
+            if remaining <= space:
+                take = remaining
+            elif space >= max_elements // 2 or remaining > max_elements:
+                take = space
+            else:
+                flush()
+                continue
+            if take == 0:
+                flush()
+                continue
+            cur_fill += take
+            cur_bounds.append(cur_fill)
+            cur_ids.append(seg)
+            cur_split.append(take < full)
+            remaining -= take
+            if cur_fill == max_elements:
+                flush()
+    flush()
+    return batches
+
+
+def assert_same_batches(got, want):
+    assert len(got) == len(want)
+    for have, ref in zip(got, want):
+        assert (have.element_lo, have.element_hi) == (ref.element_lo,
+                                                      ref.element_hi)
+        for name in ("local_indptr", "segment_ids", "is_split"):
+            a, b = getattr(have, name), getattr(ref, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
 
 
 class TestPlanBatches:
@@ -112,19 +167,29 @@ class TestMaxBatchElements:
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 12), max_size=40), st.integers(0, 30))
 def test_single_batch_fast_path_equals_loop(lengths, slack):
-    """When everything fits, the direct plan equals the per-segment loop."""
+    """When everything fits, the plan is the per-segment loop's one batch."""
     indptr = indptr_from_lengths(lengths)
     nnz = int(indptr[-1])
     max_elements = max(nnz + slack, 1)
-    loop = _greedy_batches(indptr, max_elements)
+    loop = reference_batches(indptr, max_elements)
     plan = plan_batches(indptr, max_elements)
     assert len(plan.batches) == len(loop) == (1 if nnz else 0)
-    if nnz:
-        fast, want = _single_batch(indptr), loop[0]
-        for got in (fast, plan.batches[0]):
-            assert (got.element_lo, got.element_hi) == (want.element_lo,
-                                                         want.element_hi)
-            for name in ("local_indptr", "segment_ids", "is_split"):
-                have, ref = getattr(got, name), getattr(want, name)
-                assert have.dtype == ref.dtype, name
-                assert np.array_equal(have, ref), name
+    assert_same_batches(plan.batches, loop)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=60), st.integers(1, 50))
+def test_vectorized_plan_equals_loop(lengths, max_elements):
+    """Split pieces, empty segments and tiny budgets match the loop."""
+    indptr = indptr_from_lengths(lengths)
+    assert_same_batches(plan_batches(indptr, max_elements).batches,
+                        reference_batches(indptr, max_elements))
+
+
+@pytest.mark.parametrize("lengths", [[3, 0, 1, 0, 0, 2], [0, 0], [1],
+                                     [5, 5, 0, 7]])
+def test_unit_budget_equals_loop(lengths):
+    indptr = indptr_from_lengths(lengths)
+    plan = plan_batches(indptr, 1)
+    assert all(b.n_elements == 1 for b in plan.batches)
+    assert_same_batches(plan.batches, reference_batches(indptr, 1))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.unionfind import UnionFind, union_groups
+from repro.graph.unionfind import (_BITMAP_DEDUP_CELLS, UnionFind,
+                                   _dedup_edges, union_groups)
 
 
 class TestUnionFind:
@@ -141,3 +142,27 @@ class TestUnionGroups:
             uf.union_group(g)
         _, vec_labels = np.unique(roots, return_inverse=True)
         assert np.array_equal(vec_labels, uf.labels())
+
+
+class TestDedupEdges:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sort_branch_equals_np_unique(self, seed):
+        """Large universes (past the bitmap ceiling) dedup by sort."""
+        n = (1 << 13) + 7
+        assert n * n > _BITMAP_DEDUP_CELLS
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, n, 3 * n)
+        dst = rng.integers(0, n, 3 * n)
+        src = np.concatenate([src, src[: 2 * n], np.arange(n // 4)])
+        dst = np.concatenate([dst, dst[: 2 * n], np.arange(n // 4)])
+        assert src.size > 4 * n
+
+        keys = np.unique((src.astype(np.uint64) << np.uint64(32))
+                         | dst.astype(np.uint64))
+        want_src = (keys >> np.uint64(32)).astype(np.int64)
+        want_dst = (keys & np.uint64(0xFFFFFFFF)).astype(np.int64)
+        keep = want_src != want_dst
+        got_src, got_dst = _dedup_edges(n, src, dst)
+        assert got_src.dtype == got_dst.dtype == np.int64
+        assert np.array_equal(got_src, want_src[keep])
+        assert np.array_equal(got_dst, want_dst[keep])

@@ -104,6 +104,18 @@ class TestFasta:
         path.write_text(">s\n\nACD\n\nEFG\n")
         assert read_fasta(path) == [("s", "ACDEFG")]
 
+    @pytest.mark.parametrize("text,line,what", [
+        (">a\nACD\n>b\n>c\nWYV\n", 3, "no sequence"),
+        (">a\nACD\n>b x\n", 3, "no sequence"),
+        (">a one\nACD\n>b\nWY\n>a two\nV\n", 5, "duplicate"),
+    ])
+    def test_malformed_records_name_the_line(self, tmp_path, text, line, what):
+        path = tmp_path / "bad.fasta"
+        path.write_text(text)
+        for reader in (read_fasta, lambda p: list(iter_fasta(p))):
+            with pytest.raises(ValueError, match=f"line {line}: .*{what}"):
+                reader(path)
+
     def test_invalid_width(self, tmp_path):
         with pytest.raises(ValueError):
             write_fasta([("s", "A")], tmp_path / "x.fasta", width=0)

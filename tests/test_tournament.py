@@ -243,8 +243,8 @@ class TestDriver:
                                           monkeypatch):
         real = kernels.run_tournament
 
-        def corrupted(plan, pool, a, b, prime, s, out32):
-            real(plan, pool, a, b, prime, s, out32)
+        def corrupted(plan, pool, a, b, prime, s, out32, table=None):
+            real(plan, pool, a, b, prime, s, out32, table=table)
             out32[0, 0, 0] ^= 1
             return out32
 
