@@ -29,8 +29,11 @@ these artifacts under ``benchmarks/results/``:
 
 The script also asserts the tracer's own accounting: the root
 ``gpclust.run`` span must reconcile with the pipeline's reported wall time
-within 5%, and both trace documents must pass schema validation.  Exits
-non-zero on any violation.
+within 5%, and both trace documents must pass schema validation.  Last, it
+traces one ``run_end_to_end`` (FASTA-stage sequences to families, with the
+two-stage edge test) and asserts that the child spans of its
+``homology.build`` span cover at least 95% of that span's wall time.
+Exits non-zero on any violation.
 
 Usage::
 
@@ -58,6 +61,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.pipeline import GpClust
 from repro.obs import (
     SUMMARY_SCHEMA_VERSION,
@@ -77,6 +82,8 @@ from repro.pipeline.workloads import get_scale, make_runtime_workload, workload_
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 WORKLOAD = "2m"
 RECONCILE_TOLERANCE = 0.05
+#: Share of ``homology.build`` wall time its child spans must cover.
+MIN_CHILD_COVERAGE = 0.95
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -92,6 +99,20 @@ def _best_of(repeats: int, fn) -> float:
         finally:
             gc.enable()
     return best
+
+
+def _child_coverage(records, parent) -> float:
+    """Share of ``parent``'s wall time covered by the union of the spans
+    nested inside it on its own (proc, track)."""
+    covered, end = 0.0, parent.start
+    for r in sorted((r for r in records
+                     if r is not parent and r.proc == parent.proc
+                     and r.track == parent.track
+                     and parent.start <= r.start and r.end <= parent.end),
+                    key=lambda r: r.start):
+        covered += max(0.0, r.end - max(r.start, end))
+        end = max(end, r.end)
+    return covered / parent.duration if parent.duration > 0 else 1.0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -273,6 +294,35 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 "device-backend homology trace has no device.align_bin "
                 "spans (alignment bins are not visible as device work)")
+
+    # --- end to end: homology.build is explained by its child spans -----
+    from repro.pipeline.end_to_end import run_end_to_end
+
+    e_ctx = observe()
+    with use_obs(e_ctx):
+        e_report = run_end_to_end(protein_set=protein_set,
+                                  align_backend=args.align_backend,
+                                  devices=args.devices)
+    builds = [r for r in e_ctx.tracer.records if r.name == "homology.build"]
+    if not builds:
+        failures.append("end-to-end trace has no homology.build span")
+    else:
+        coverage = _child_coverage(e_ctx.tracer.records, builds[-1])
+        counters = e_ctx.metrics.snapshot()["counters"]
+        print(f"end-to-end: homology.build {builds[-1].duration:.4f}s, "
+              f"child spans cover {coverage:.1%}; band accepted "
+              f"{counters.get('homology.band_pairs_accepted', 0)} of "
+              f"{e_report.homology.n_edges} edges")
+        if coverage < MIN_CHILD_COVERAGE:
+            failures.append(
+                f"child spans cover {coverage:.1%} of homology.build, "
+                f"below {MIN_CHILD_COVERAGE:.0%}")
+    if not (np.array_equal(e_report.homology.graph.indptr,
+                           h_result.graph.indptr)
+            and np.array_equal(e_report.homology.graph.indices,
+                               h_result.graph.indices)):
+        failures.append("end-to-end homology graph differs from the "
+                        "full-alignment build's")
 
     # --- multi-device: every member must appear as its own process ------
     if args.devices > 1:

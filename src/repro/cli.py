@@ -289,7 +289,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    from repro.sequence.alphabet import encode
+    from repro.sequence.alphabet import UNKNOWN_CODE, encode
     from repro.sequence.fasta import read_fasta
     from repro.sequence.homology import HomologyConfig, build_homology_graph
 
@@ -309,8 +309,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                                      n_jobs=args.jobs,
                                      align_backend=args.align_backend,
                                      devices=args.devices)
+    n_unknown = sum(int(np.count_nonzero(s == UNKNOWN_CODE))
+                    for s in sequences)
+    print(f"repro pipeline: {n_unknown} residues mapped to X",
+          file=sys.stderr)
     if ctx is None:
-        homology = build_homology_graph(sequences, homology_config)
+        homology = build_homology_graph(sequences, homology_config,
+                                        keep_scores=False)
         print(f"homology: {homology.n_candidate_pairs} candidate pairs -> "
               f"{homology.n_edges} edges")
         result = cluster_graph(homology.graph, params, backend=args.backend)
@@ -326,7 +331,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 # shows the sw_* kernels next to the shingling ones.
                 device = _make_device(params)
             homology = build_homology_graph(sequences, homology_config,
-                                            device=device)
+                                            keep_scores=False, device=device)
             print(f"homology: {homology.n_candidate_pairs} candidate pairs "
                   f"-> {homology.n_edges} edges")
             if args.backend == "device":

@@ -73,6 +73,10 @@ def run_end_to_end(
     scoring backend, and simulated device count — ``devices`` also applies
     to the clustering params, so both stages run on a group of that size;
     the result is identical either way.
+
+    The homology graph is built with ``keep_scores=False`` (the two-stage
+    edge test), so ``report.homology.normalized_scores`` and ``.pairs`` are
+    empty; call :func:`build_homology_graph` directly for per-pair scores.
     """
     if protein_set is None:
         protein_set = generate_protein_families(sequence_config, seed=seed)
@@ -97,7 +101,7 @@ def run_end_to_end(
 
     with tracer.span("e2e.homology"):
         homology = build_homology_graph(protein_set.sequences,
-                                        homology_config)
+                                        homology_config, keep_scores=False)
     with tracer.span("e2e.clustering"):
         clustering = GpClust(params, device_spec).run(homology.graph)
 

@@ -19,6 +19,9 @@ UNKNOWN = "X"
 ALPHABET = AMINO_ACIDS + UNKNOWN
 ALPHABET_SIZE = len(ALPHABET)
 
+#: Code of :data:`UNKNOWN`.
+UNKNOWN_CODE = ALPHABET.index(UNKNOWN)
+
 _CHAR_TO_CODE = {ch: i for i, ch in enumerate(ALPHABET)}
 # Build a 256-entry lookup for fast bytes -> code translation.
 _LOOKUP = np.full(256, _CHAR_TO_CODE[UNKNOWN], dtype=np.uint8)

@@ -17,6 +17,12 @@ def read_fasta(path: str | Path) -> list[tuple[str, str]]:
     Headers lose their leading ``>``; sequence lines are concatenated and
     uppercased.  Blank lines are ignored.  Malformed input raises
     ``ValueError`` naming the offending line (see :func:`iter_fasta`).
+
+    Residue policy: any ASCII letter is accepted (letters outside the 20
+    standard amino acids, such as the ambiguity codes B/Z/J/U/O, encode as
+    ``X``; see :func:`repro.sequence.alphabet.encode`), one trailing ``*``
+    (a stop codon) per record is dropped, and any other character is an
+    error.
     """
     return list(iter_fasta(path))
 
@@ -37,11 +43,14 @@ def iter_fasta(path: str | Path) -> Iterator[tuple[str, str]]:
     """Streaming variant of :func:`read_fasta` (one record at a time).
 
     Raises ``ValueError`` naming the line for sequence data before the
-    first header, for a record with no sequence, and for a record id (the
-    header's first token) that an earlier record already used.
+    first header, for a record with no sequence, for a record id (the
+    header's first token) that an earlier record already used, for a
+    character that is neither an ASCII letter nor the record's final
+    ``*``, and for sequence data after that ``*``.
     """
     header: str | None = None
     header_line = 0
+    star_line = 0
     chunks: list[str] = []
     seen: set[str] = set()
     with Path(path).open() as fh:
@@ -53,6 +62,7 @@ def iter_fasta(path: str | Path) -> Iterator[tuple[str, str]]:
                 if header is not None:
                     yield _record(path, header, header_line, chunks)
                 header, header_line, chunks = line[1:].strip(), lineno, []
+                star_line = 0
                 record_id = header.split()[0] if header else ""
                 if record_id in seen:
                     raise ValueError(f"{path} line {lineno}: duplicate FASTA "
@@ -62,14 +72,27 @@ def iter_fasta(path: str | Path) -> Iterator[tuple[str, str]]:
                 if header is None:
                     raise ValueError(f"{path} line {lineno}: FASTA file must "
                                      "start with a '>' header")
-                chunks.append(line)
+                if star_line:
+                    raise ValueError(f"{path} line {star_line}: '*' before "
+                                     f"the end of FASTA record {header!r}")
+                residues = line[:-1] if line.endswith("*") else line
+                if residues and not (residues.isascii()
+                                     and residues.isalpha()):
+                    bad = next(ch for ch in residues
+                               if not (ch.isascii() and ch.isalpha()))
+                    raise ValueError(f"{path} line {lineno}: invalid residue "
+                                     f"{bad!r} in FASTA record {header!r}")
+                if len(residues) < len(line):
+                    star_line = lineno
+                chunks.append(residues)
         if header is not None:
             yield _record(path, header, header_line, chunks)
 
 
 def _record(path, header: str, lineno: int,
             chunks: list[str]) -> tuple[str, str]:
-    if not chunks:
+    sequence = "".join(chunks)
+    if not sequence:
         raise ValueError(f"{path} line {lineno}: FASTA record {header!r} "
                          "has no sequence")
-    return header, "".join(chunks).upper()
+    return header, sequence.upper()

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,38 @@ class TestPipeline:
         assert "clusters" in capsys.readouterr().out
 
 
+class TestPipelineResidues:
+    def test_reports_residues_mapped_to_x(self, tmp_path, capsys):
+        stem = tmp_path / "seqs"
+        main(["generate", "--families", "3", "--fasta", "--seed", "4",
+              "--out", str(stem)])
+        path = stem.with_suffix(".fasta")
+        lines = path.read_text().splitlines()
+        # Ambiguity codes and an X in the first record, a stop codon at
+        # the end of the second.
+        lines[1] = "BZJ" + lines[1][3:-2] + "xo"
+        headers = [i for i, line in enumerate(lines) if line.startswith(">")]
+        lines[headers[2] - 1] += "*"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["pipeline", str(path), "--c1", "10", "--c2", "5"]) == 0
+        err = capsys.readouterr().err
+        assert "repro pipeline: 5 residues mapped to X" in err.splitlines()
+
+    def test_profile_reports_band_stage(self, tmp_path, capsys):
+        stem = tmp_path / "seqs"
+        main(["generate", "--families", "3", "--fasta", "--seed", "4",
+              "--out", str(stem)])
+        profile = tmp_path / "profile.json"
+        assert main(["pipeline", str(stem.with_suffix(".fasta")),
+                     "--c1", "10", "--c2", "5", "--profile",
+                     str(profile)]) == 0
+        homology = json.loads(profile.read_text())["homology"]
+        assert homology["band_s"] > 0
+        assert homology["total_s"] == pytest.approx(
+            sum(v for k, v in homology.items() if k != "total_s"))
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -196,6 +230,35 @@ class TestBadInput:
     def test_pipeline_missing_fasta(self, tmp_path, capsys):
         code = main(["pipeline", str(tmp_path / "absent.fasta")])
         self._assert_one_line_error(capsys, code)
+
+    def test_pipeline_invalid_homology_config(self, tmp_path, capsys,
+                                              monkeypatch):
+        # No flag sets the gap penalty; a config that rejects it must still
+        # reach the user as one line through cli.main.
+        import functools
+
+        from repro.sequence import homology
+
+        stem = tmp_path / "seqs"
+        main(["generate", "--families", "3", "--fasta", "--out", str(stem)])
+        capsys.readouterr()
+        monkeypatch.setattr(homology, "HomologyConfig", functools.partial(
+            homology.HomologyConfig, gap=-3))
+        code = main(["pipeline", str(stem.with_suffix(".fasta"))])
+        self._assert_one_line_error(capsys, code)
+
+    @pytest.mark.parametrize("text,line", [
+        (">s0\nACDE1GHIK\n", 2),
+        (">s0\nACDEFGHIK\n>s1\nWYV-ACD\n", 4),
+        (">s0\nACD*\nEFG\n", 2),
+    ])
+    def test_pipeline_invalid_residue(self, tmp_path, capsys, text, line):
+        path = tmp_path / "bad.fasta"
+        path.write_text(text)
+        code = main(["pipeline", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and f"line {line}:" in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("text,match", [
         (">s0\nACDEFGHIK\n>s1\n>s2\nWYVACD\n", "line 3"),

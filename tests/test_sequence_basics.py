@@ -116,6 +116,30 @@ class TestFasta:
             with pytest.raises(ValueError, match=f"line {line}: .*{what}"):
                 reader(path)
 
+    def test_residue_policy_accepts(self, tmp_path):
+        path = tmp_path / "t.fasta"
+        # Any letter passes (B/Z/J/U/O/X encode as X); one trailing '*'
+        # per record is dropped, on its last line.
+        path.write_text(">a\nacdBZ\nJUOX*\n>b\nWYV*\n>c\nK\n")
+        records = read_fasta(path)
+        assert records == [("a", "ACDBZJUOX"), ("b", "WYV"), ("c", "K")]
+        assert decode(encode(records[0][1])) == "ACDXXXXXX"
+
+    @pytest.mark.parametrize("text,line,what", [
+        (">a\nAC1D\n", 2, "invalid residue '1'"),
+        (">a\nACD\n>b\nWY-V\n", 4, "invalid residue '-'"),
+        (">a\nAC.D\n", 2, "invalid residue '.'"),
+        (">a\nAC D\n", 2, "invalid residue ' '"),
+        (">a\nACD**\n", 2, "invalid residue '\\*'"),
+        (">a\nAC*\nDE\n", 2, "'\\*' before the end"),
+        (">a\n*\n", 1, "no sequence"),
+    ])
+    def test_residue_policy_rejects(self, tmp_path, text, line, what):
+        path = tmp_path / "bad.fasta"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}: .*{what}"):
+            read_fasta(path)
+
     def test_invalid_width(self, tmp_path):
         with pytest.raises(ValueError):
             write_fasta([("s", "A")], tmp_path / "x.fasta", width=0)

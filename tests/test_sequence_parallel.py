@@ -182,8 +182,8 @@ class TestLazySelfScores:
         assert isinstance(t, HomologyTimings)
         assert t.total_s > 0
         d = t.as_dict()
-        assert set(d) == {"seed_filter_s", "self_scores_s", "alignment_s",
-                          "graph_build_s", "total_s"}
+        assert set(d) == {"seed_filter_s", "self_scores_s", "band_s",
+                          "alignment_s", "graph_build_s", "total_s"}
         assert d["total_s"] == pytest.approx(
-            d["seed_filter_s"] + d["self_scores_s"] + d["alignment_s"]
-            + d["graph_build_s"])
+            d["seed_filter_s"] + d["self_scores_s"] + d["band_s"]
+            + d["alignment_s"] + d["graph_build_s"])

@@ -118,3 +118,19 @@ class TestHomologyGraph:
             HomologyConfig(min_normalized_score=0.0)
         with pytest.raises(ValueError):
             HomologyConfig(chunk_size=0)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"gap": -3}, "gap"),
+        ({"gap_open": -1}, "gap_open"),
+        ({"gap_extend": -2}, "gap_extend"),
+        ({"k": 0}, "k"),
+        ({"min_shared_kmers": 0}, "min_shared_kmers"),
+        ({"max_kmer_occurrence": 1}, "max_kmer_occurrence"),
+    ])
+    def test_seed_and_penalty_validation(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            HomologyConfig(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        HomologyConfig(gap=0, gap_open=0, gap_extend=0, k=1,
+                       min_shared_kmers=1, max_kmer_occurrence=2)
