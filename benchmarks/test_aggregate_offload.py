@@ -57,7 +57,7 @@ def _run_once(params, graph):
         "gpu_s": result.timings.get(BUCKET_GPU),
         "modeled_s": sum(s["modeled_s"] for s in stats.values()),
         "cc_rounds": int(counters.get("device.cc.rounds", 0)),
-        "agg_runs": int(stats.get("agg_sort", {}).get("launches", 0)),
+        "agg_runs": int(stats.get("agg_merge", {}).get("launches", 0)),
         "agg_bytes_saved": int(
             counters.get("device.aggregate.bytes_saved", 0)),
         "labels": result.labels,

@@ -32,7 +32,8 @@ The script also asserts the tracer's own accounting: the root
 within 5%, and both trace documents must pass schema validation.  Last, it
 traces one ``run_end_to_end`` (FASTA-stage sequences to families, with the
 two-stage edge test) and asserts that the child spans of its
-``homology.build`` span cover at least 95% of that span's wall time.
+``homology.build`` span, and those of the 2m run's ``phase3.report``
+span, cover at least 95% of that span's wall time.
 Exits non-zero on any violation.
 
 Usage::
@@ -82,7 +83,8 @@ from repro.pipeline.workloads import get_scale, make_runtime_workload, workload_
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 WORKLOAD = "2m"
 RECONCILE_TOLERANCE = 0.05
-#: Share of ``homology.build`` wall time its child spans must cover.
+#: Share of a ``homology.build`` or ``phase3.report`` span's wall time its
+#: child spans must cover.
 MIN_CHILD_COVERAGE = 0.95
 
 
@@ -256,6 +258,19 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 "device-aggregation trace has no device.cc.* span "
                 "(Phase III did not run as the CC kernels)")
+
+    # --- Phase III is explained by its child spans ----------------------
+    reports = [r for r in records if r.name == "phase3.report"]
+    if not reports:
+        failures.append("2m trace has no phase3.report span")
+    else:
+        coverage = _child_coverage(records, reports[-1])
+        print(f"phase3.report {reports[-1].duration:.4f}s, child spans "
+              f"cover {coverage:.1%}")
+        if coverage < MIN_CHILD_COVERAGE:
+            failures.append(
+                f"child spans cover {coverage:.1%} of phase3.report, "
+                f"below {MIN_CHILD_COVERAGE:.0%}")
 
     # --- homology build on the device alignment backend -----------------
     import dataclasses

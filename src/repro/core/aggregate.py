@@ -4,8 +4,9 @@
 therefore the task of the CPU is to aggregate the data for the GPU." (Section
 III-C.)  After the device streams back per-(trial, segment) shingle
 fingerprints, the CPU must gather, for every distinct shingle ``s_j``, the
-set ``L(s_j)`` of generators — the paper implements this as a sort; we use
-``np.unique``'s sort-based grouping, the whole-array equivalent.
+set ``L(s_j)`` of generators — the paper implements this as a sort; here
+one unstable fingerprint sort groups a whole pass (or each trial chunk,
+whose partials :func:`repro.device.kernels.merge_runs` then combines).
 
 Also home to the split-list merge: when an adjacency list was split across
 batches, the true top-``s`` minima are recovered by merging the per-chunk
@@ -21,7 +22,8 @@ import threading
 import numpy as np
 
 from repro.core.passresult import PassResult
-from repro.device.kernels import SENTINEL, unpack_pairs
+from repro.device.kernels import (SENTINEL, merge_runs, unique_first,
+                                  unpack_pairs)
 from repro.graph.bipartite import BipartiteCSR
 from repro.obs import get_obs
 from repro.util.mixhash import fold_fingerprint_array
@@ -143,10 +145,10 @@ def fingerprints_from_pairs(pairs: np.ndarray, salts: np.ndarray) -> np.ndarray:
     return fold_fingerprint_array(ids, np.asarray(salts, dtype=np.uint64).reshape(-1, 1))
 
 
-def aggregate_pass(fps_all: np.ndarray, top_all: np.ndarray, lengths: np.ndarray,
-                   s: int, segment_ids: np.ndarray | None = None,
-                   n_segments: int | None = None) -> PassResult:
-    """Build the distinct-shingle graph from per-occurrence arrays.
+def aggregate_runs(fps_all: np.ndarray, top_all: np.ndarray,
+                   lengths: np.ndarray, s: int,
+                   segment_ids: np.ndarray | None = None) -> tuple:
+    """Group per-occurrence arrays by fingerprint into one partial.
 
     Parameters
     ----------
@@ -163,14 +165,14 @@ def aggregate_pass(fps_all: np.ndarray, top_all: np.ndarray, lengths: np.ndarray
     segment_ids:
         Original segment id of each row; identity when None.  Set when the
         caller pre-compacted the input to valid segments only.
-    n_segments:
-        Total segment count in the original input (defaults to ``n_rows``).
 
     Returns
     -------
-    PassResult
-        Canonical (fingerprint-sorted) shingle graph; identical to what the
-        serial reference produces for the same inputs.
+    (fps, members, gen_counts, gens, first_pos):
+        Fingerprint-sorted distinct shingles with int64 member rows,
+        generator-list lengths and sorted generator lists, plus the flat
+        position (over the valid rows) of each one's first occurrence —
+        a :func:`~repro.device.kernels.merge_runs` partial.
     """
     fps_all = np.asarray(fps_all, dtype=np.uint64)
     top_all = np.asarray(top_all, dtype=np.uint64)
@@ -186,17 +188,8 @@ def aggregate_pass(fps_all: np.ndarray, top_all: np.ndarray, lengths: np.ndarray
         segment_ids = np.asarray(segment_ids, dtype=np.int64)
         if segment_ids.shape != (n_rows,):
             raise ValueError("segment_ids shape mismatch")
-    n_seg = n_rows if n_segments is None else int(n_segments)
 
     valid_rows = np.flatnonzero(lengths >= s)
-    if valid_rows.size == 0:
-        return PassResult(
-            fingerprints=np.empty(0, dtype=np.uint64),
-            members=np.empty((0, s), dtype=np.int64),
-            gen_graph=BipartiteCSR.from_lists([], n_right=n_seg),
-            n_input_segments=n_seg,
-        )
-
     if valid_rows.size == n_rows:
         # Fast path for pre-compacted input (the device driver drops short
         # segments before upload): the flattened views are free, no gather.
@@ -208,108 +201,112 @@ def aggregate_pass(fps_all: np.ndarray, top_all: np.ndarray, lengths: np.ndarray
         top_rows = top_all[:, valid_rows, :].reshape(-1, s)
         gen_src = segment_ids[valid_rows]
 
-    uniq, first_idx, inverse = np.unique(fp_flat, return_index=True, return_inverse=True)
+    uniq, first_idx, inverse = unique_first(fp_flat)
     # Only the first occurrence of each distinct fingerprint contributes
     # members: gather those rows first, then unpack — O(k*s) instead of a
     # full O(c*n*s) unpack + int64 conversion.
-    members = (top_rows[first_idx] & _U32_MAX).astype(np.int64)
+    members = (np.take(top_rows, first_idx, axis=0) & _U32_MAX).astype(np.int64)
+    gen_counts, gens = _gen_lists(inverse, np.tile(gen_src, c), uniq.size,
+                                  int(gen_src.max(initial=0)))
+    return uniq, members, gen_counts, gens, first_idx
 
-    gen_flat = np.tile(gen_src, c)
-    gen_graph = _gen_graph_from_pairs(inverse, gen_flat, uniq.size, n_seg)
 
-    result = PassResult(fingerprints=uniq, members=members,
-                        gen_graph=gen_graph, n_input_segments=n_seg)
+def aggregate_pass(fps_all: np.ndarray, top_all: np.ndarray, lengths: np.ndarray,
+                   s: int, segment_ids: np.ndarray | None = None,
+                   n_segments: int | None = None) -> PassResult:
+    """Build the distinct-shingle graph from per-occurrence arrays.
+
+    Takes the arguments of :func:`aggregate_runs`, plus ``n_segments``:
+    the total segment count in the original input (defaults to the row
+    count).  Returns the canonical (fingerprint-sorted) shingle graph;
+    identical to what the serial reference produces for the same inputs.
+    """
+    n_seg = np.shape(fps_all)[1] if n_segments is None else int(n_segments)
+    fps, members, gen_counts, gens, _ = aggregate_runs(
+        fps_all, top_all, lengths, s, segment_ids)
+    result = _pass_result(fps, members, gen_counts, gens, n_seg)
     if _DEBUG_CHECKS:
         _check_no_sentinel_members(result, s)
     return result
 
 
-def _gen_graph_from_pairs(groups: np.ndarray, gens: np.ndarray,
-                          n_groups: int, n_right: int) -> BipartiteCSR:
-    """CSR of sorted, deduplicated generator lists per shingle group.
+def _pass_result(fps: np.ndarray, members: np.ndarray, gen_counts: np.ndarray,
+                gens: np.ndarray, n_segments: int) -> PassResult:
+    """A :class:`PassResult` from merged ``(fps, members, counts, gens)``."""
+    gen_indptr = np.zeros(fps.size + 1, dtype=np.int64)
+    np.cumsum(gen_counts, out=gen_indptr[1:])
+    return PassResult(
+        fingerprints=fps, members=members.astype(np.int64, copy=False),
+        gen_graph=BipartiteCSR(gen_indptr, gens, n_right=n_segments,
+                               validate=False),
+        n_input_segments=n_segments)
+
+
+def _gen_lists(groups: np.ndarray, gens: np.ndarray, n_groups: int,
+               max_gen: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, deduplicated generator lists per shingle group.
 
     Equivalent to ``np.lexsort((gens, groups))`` + adjacent dedup, but packs
     both keys into one uint64 so a single in-place sort replaces the two
     stable argsorts and the fancy gathers.  Valid whenever both key ranges
     fit in 32 bits (guaranteed here: occurrence counts and segment ids are
     far below 2**32); duplicate (group, gen) pairs are interchangeable, so
-    sort stability is irrelevant to the deduplicated output.
+    sort stability is irrelevant to the deduplicated output.  Returns
+    ``(counts, gens)``: list lengths and the concatenated int64 lists.
     """
-    if n_groups - 1 > int(_U32_MAX) or n_right - 1 > int(_U32_MAX):
+    if n_groups - 1 > int(_U32_MAX) or max_gen > int(_U32_MAX):
         raise ValueError("group/generator ids exceed 32-bit packing range")
-    keys = _pack_u32_keys(groups, gens)
+    keys = np.empty(groups.size, dtype=np.uint64)
+    np.left_shift(np.asarray(groups, dtype=np.int64).view(np.uint64),
+                  _U32_BITS, out=keys)
+    np.bitwise_or(keys, np.asarray(gens, dtype=np.int64).view(np.uint64),
+                  out=keys)
     keys.sort()
-    return _gen_graph_from_sorted_keys(keys, n_groups, n_right)
-
-
-def _pack_u32_keys(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """``high << 32 | low`` as uint64, one allocation.
-
-    Both inputs are non-negative int64, so a bit-level ``view`` reinterprets
-    them as uint64 for free (no ``astype`` copies).
-    """
-    high = np.ascontiguousarray(high, dtype=np.int64)
-    low = np.ascontiguousarray(low, dtype=np.int64)
-    keys = np.empty(high.size, dtype=np.uint64)
-    np.left_shift(high.view(np.uint64), _U32_BITS, out=keys)
-    np.bitwise_or(keys, low.view(np.uint64), out=keys)
-    return keys
-
-
-def _gen_graph_from_sorted_keys(keys: np.ndarray, n_groups: int,
-                                n_right: int) -> BipartiteCSR:
-    """Build the generator CSR from sorted ``group << 32 | gen`` keys."""
     if keys.size:
         keep = np.empty(keys.size, dtype=bool)
         keep[0] = True
         np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-        kept = keys[keep]
-    else:
-        kept = keys
-    inv_dedup = (kept >> _U32_BITS).astype(np.int64)
-    gen_dedup = (kept & _U32_MAX).astype(np.int64)
-    counts = np.bincount(inv_dedup, minlength=n_groups)
-    indptr = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return BipartiteCSR(indptr, gen_dedup, n_right=n_right, validate=False)
+        keys = keys[keep]
+    counts = np.bincount((keys >> _U32_BITS).astype(np.int64),
+                         minlength=n_groups)
+    return counts, (keys & _U32_MAX).astype(np.int64)
 
 
 class StreamingAggregator:
     """Incremental aggregation of per-trial-chunk partial results.
 
-    The multi-stream engine aggregates each trial chunk's ``(t, n, s)``
-    shingle block into a partial :class:`PassResult` as soon as the chunk's
-    kernels finish, then discards the block — so the full ``(c, n, s)``
-    occurrence arrays are never materialized and peak host memory drops from
-    O(c*n*s) to O(chunk*n*s).
+    The multi-stream engine reduces each trial chunk's ``(t, n, s)``
+    shingle block to a partial — the runs of
+    :func:`~repro.device.kernels.chunk_reduce` or of
+    :func:`aggregate_runs` — as soon as the chunk's kernels finish, then
+    discards the block, so the full ``(c, n, s)`` occurrence arrays are
+    never materialized and peak host memory drops from O(c*n*s) to
+    O(chunk*n*s).
 
-    Merging is deterministic and bit-identical to whole-array
-    :func:`aggregate_pass`: partials are ordered by their trial offset
-    (reconstructing the trial-major flattened order), so the first partial
-    containing a fingerprint holds its globally-first occurrence — exactly
-    the row ``np.unique(..., return_index=True)`` would have picked — and
-    generator lists merge as sorted unions.  ``add`` is thread-safe.
+    :meth:`result` orders the partials by trial offset and runs one
+    :func:`~repro.device.kernels.merge_runs` group-by over all of them;
+    the result is bit-identical to whole-array :func:`aggregate_pass`.
+    ``add`` is thread-safe.
 
-    With a ``device``, the aggregator additionally accepts *device-resident*
-    partials (:meth:`add_resident`): the 4-tuple of buffers
+    With a ``device``, the aggregator instead accepts *device-resident*
+    partials (:meth:`add_resident`): the 5-tuple of buffers
     ``shingle_chunk_reduce(..., resident=True)`` leaves on the device.  The
-    merge then runs as the device's ``agg_sort``/``agg_boundaries``/
-    ``agg_invert`` group-by kernels and only the final merged bipartite CSR
-    crosses the PCIe link — bit-identical output to the host merge, without
-    the per-chunk host round-trip.  A single aggregator uses one mode or the
-    other per pass (the driver decides up front).
+    device then runs the same merge as its ``agg_merge`` kernel and only
+    the merged result crosses the PCIe link.  A single aggregator uses one
+    mode or the other per pass (the driver decides up front).
     """
 
     def __init__(self, s: int, n_segments: int, device=None) -> None:
         self.s = int(s)
         self.n_segments = int(n_segments)
         self._device = device
-        self._parts: list[tuple[int, PassResult]] = []
+        self._parts: list[tuple[int, tuple]] = []
         self._resident_parts: list[tuple[int, object, tuple]] = []
         self._lock = threading.Lock()
 
-    def add(self, trial_lo: int, partial: PassResult) -> None:
-        """Record the partial result for the trial chunk starting at ``trial_lo``."""
+    def add(self, trial_lo: int, partial: tuple) -> None:
+        """Record the ``(fps, members, gen_counts, gens, first_pos)``
+        partial of the trial chunk starting at ``trial_lo``."""
         with self._lock:
             self._parts.append((int(trial_lo), partial))
 
@@ -317,7 +314,7 @@ class StreamingAggregator:
         """Record a device-resident chunk partial.
 
         ``owner`` is the device (group member) holding ``buffers`` — the
-        4-tuple of ``chunk_reduce`` wire buffers.  Thread-safe, like
+        5-tuple of ``chunk_reduce`` wire buffers.  Thread-safe, like
         :meth:`add`.
         """
         with self._lock:
@@ -333,103 +330,22 @@ class StreamingAggregator:
         with self._lock:
             parts = [p for _, p in sorted(self._parts, key=lambda kv: kv[0])]
             resident = sorted(self._resident_parts, key=lambda kv: kv[0])
-        if resident:
-            if parts:
-                raise ValueError(
-                    "cannot mix host and device-resident partials")
-            return self._merge_device(resident)
-        if not parts:
+        if resident and parts:
+            raise ValueError("cannot mix host and device-resident partials")
+        if not parts and not resident:
             raise ValueError("no partial results to merge")
-        if len(parts) == 1:
-            return parts[0]
         with get_obs().tracer.span("aggregate.merge_partials",
-                                   n_partials=len(parts)):
-            return self._merge(parts)
-
-    def _merge_device(self, resident: list[tuple[int, object, tuple]]
-                      ) -> PassResult:
-        """Merge resident partials on the device; download only the result.
-
-        The device merge replicates the host :meth:`_merge` operation
-        sequence exactly (stable sorted-run merge, first-occurrence member
-        rows, packed-key generator union), so the returned
-        :class:`PassResult` is bit-identical; only the final
-        ``PassResult``/CSR assembly from the downloaded wire arrays is host
-        work, charged to the cpu bucket.
-        """
-        device = self._device
-        parts = [(owner, bufs) for _, owner, bufs in resident]
-        with get_obs().tracer.span("aggregate.merge_partials",
-                                   n_partials=len(parts), backend="device"):
-            fps, members, gen_counts, gens = device.aggregate_merge(
-                parts, s=self.s)
+                                   n_partials=len(parts) + len(resident),
+                                   backend="device" if resident else "host"):
+            if parts:
+                return _pass_result(*merge_runs(parts), self.n_segments)
+            # The device merge charges its own buckets; only the host
+            # assembly of the downloaded arrays is cpu work.
+            device = self._device
+            merged = device.aggregate_merge(
+                [(owner, bufs) for _, owner, bufs in resident], s=self.s)
             with device.breakdown.timing(BUCKET_CPU):
-                gen_indptr = np.zeros(fps.size + 1, dtype=np.int64)
-                np.cumsum(gen_counts, out=gen_indptr[1:])
-                return PassResult(
-                    fingerprints=fps,
-                    members=members.astype(np.int64),
-                    gen_graph=BipartiteCSR(gen_indptr, gens,
-                                           n_right=self.n_segments,
-                                           validate=False),
-                    n_input_segments=self.n_segments)
-
-    def _merge(self, parts: list[PassResult]) -> PassResult:
-
-        fp_cat = np.concatenate([p.fingerprints for p in parts])
-        if fp_cat.size == 0:
-            return PassResult(
-                fingerprints=np.empty(0, dtype=np.uint64),
-                members=np.empty((0, self.s), dtype=np.int64),
-                gen_graph=BipartiteCSR.from_lists([], n_right=self.n_segments),
-                n_input_segments=self.n_segments,
-            )
-        members_cat = np.concatenate([p.members for p in parts], axis=0)
-        # Every partial's fingerprints are already sorted (PassResult
-        # invariant), so fp_cat is a handful of ascending runs: a stable
-        # (timsort) argsort merges them in near-linear time instead of
-        # re-sorting from scratch.  Stability also makes the first entry of
-        # each equal-fingerprint run the globally-first occurrence (partials
-        # are ordered by trial offset) — exactly the row
-        # ``np.unique(..., return_index=True)`` would have picked.
-        order = np.argsort(fp_cat, kind="stable")
-        fp_sorted = fp_cat[order]
-        is_start = np.empty(fp_sorted.size, dtype=bool)
-        is_start[0] = True
-        np.not_equal(fp_sorted[1:], fp_sorted[:-1], out=is_start[1:])
-        run_starts = np.flatnonzero(is_start)
-        uniq = fp_sorted[run_starts]
-        members = members_cat[order[run_starts]]
-        # Global group id of every concatenated occurrence (the np.unique
-        # ``inverse``), recovered by scattering the sorted group ranks back.
-        inverse = np.empty(fp_cat.size, dtype=np.int64)
-        inverse[order] = np.cumsum(is_start) - 1
-
-        # Union the per-partial generator lists: re-key every CSR entry by
-        # its global group id, then one sort + dedup over all entries.
-        keys_parts = []
-        offset = 0
-        for p in parts:
-            k = p.fingerprints.size
-            graph = p.gen_graph
-            if graph.nnz:
-                entry_groups = np.repeat(inverse[offset:offset + k],
-                                         np.diff(graph.indptr))
-                keys_parts.append(_pack_u32_keys(entry_groups, graph.indices))
-            offset += k
-        if keys_parts:
-            keys = np.concatenate(keys_parts)
-            # Within each partial the re-keyed entries are already sorted
-            # (group ids rise with the partial's fingerprint order, gens are
-            # sorted per group), so this is again a merge of sorted runs.
-            keys.sort(kind="stable")
-        else:
-            keys = np.empty(0, dtype=np.uint64)
-        gen_graph = _gen_graph_from_sorted_keys(keys, uniq.size, self.n_segments)
-
-        return PassResult(fingerprints=uniq, members=members,
-                          gen_graph=gen_graph,
-                          n_input_segments=self.n_segments)
+                return _pass_result(*merged, self.n_segments)
 
 
 def _check_no_sentinel_members(result: PassResult, s: int) -> None:

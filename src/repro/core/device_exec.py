@@ -40,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.core.aggregate import (StreamingAggregator, aggregate_pass,
-                                  merge_splits_into)
+                                  aggregate_runs, merge_splits_into)
 from repro.core.execplan import (EXEC_MULTIDEVICE, EXEC_PREFETCH, EXEC_SYNC,
                                  ExecutionPlan, trial_chunks)
 from repro.core.params import AGG_AUTO, AGG_HOST, KERNEL_FUSED, PassConfig
@@ -51,7 +51,6 @@ from repro.device.group import DeviceGroup, least_loaded_assignment
 from repro.device.kernels import (SENTINEL, build_tournament_plan,
                                   reduce_keys_fit, segment_element_ids)
 from repro.device.memory import ScratchPool
-from repro.graph.bipartite import BipartiteCSR
 from repro.util.timer import BUCKET_CPU
 
 
@@ -218,6 +217,16 @@ def _resident_tables_plan(compact_indptr: np.ndarray, batch_plan, chunks,
     return batch_plan
 
 
+def _release_scratch(members: list[SimulatedDevice]) -> None:
+    """Give back a pass's kernel scratch once its chunk loop is done.
+
+    Nothing reuses it: the merge allocates its own arrays, and the next
+    pass has a different geometry.
+    """
+    for member in members:
+        member.scratch.clear()
+
+
 def _broadcast(device, members, multi: bool, host_array: np.ndarray):
     """Input residency per member: group broadcast, or one plain upload."""
     if multi:
@@ -310,10 +319,11 @@ def _single_batch_streaming(
 
     With the ``fused`` kernel (and whenever the packed reduction keys fit in
     63 bits) the device additionally runs :func:`chunk_reduce` before the
-    transfer: each chunk downloads a compacted distinct-shingle partial —
-    already a :class:`PassResult` in wire form — instead of the raw
-    ``(t, n, s)`` occurrence block, so both the g2c bytes and the CPU
-    aggregation shrink from O(t*n*s) to O(k_chunk*s).
+    transfer: each chunk downloads its compacted distinct-shingle runs
+    instead of the raw ``(t, n, s)`` occurrence block, so both the g2c
+    bytes and the CPU aggregation shrink from O(t*n*s) to O(k_chunk*s);
+    one :func:`~repro.device.kernels.merge_runs` over all chunks' runs
+    then sorts the pass by fingerprint.
 
     On that reduce path the batch's :class:`~repro.device.kernels.
     TournamentPlan` is built once, here, and every chunk selects through
@@ -343,7 +353,7 @@ def _single_batch_streaming(
     # missing; results are bit-identical either way.
     agg_backend = getattr(config, "aggregate_backend", AGG_AUTO)
     c_total = sum(hi - lo for lo, hi in chunks)
-    resident_fits = (3 * c_total * n_rows * (16 + 4 * s)
+    resident_fits = (3 * c_total * n_rows * (24 + 4 * s)
                      < device.spec.memory_capacity_bytes)
     use_dev_agg = (use_reduce and agg_backend != AGG_HOST and resident_fits)
 
@@ -384,19 +394,8 @@ def _single_batch_streaming(
             # The partial never leaves the device: record the resident
             # buffers and move on (no per-chunk host aggregation at all).
             aggregator.add_resident(lo, member, out)
-            return
-        fps, members, gen_counts, gens = out
-        with breakdown.timing(BUCKET_CPU), \
-                tracer.span("exec.chunk_aggregate"):
-            gen_indptr = np.zeros(gen_counts.size + 1, dtype=np.int64)
-            np.cumsum(gen_counts, out=gen_indptr[1:])
-            partial = PassResult(
-                fingerprints=fps,
-                members=members.astype(np.int64),
-                gen_graph=BipartiteCSR(gen_indptr, gens, n_right=n_seg,
-                                       validate=False),
-                n_input_segments=n_seg)
-            aggregator.add(lo, partial)
+        else:
+            aggregator.add(lo, out)
 
     def run_chunk(lo: int, hi: int, dev: int) -> None:
         t = hi - lo
@@ -410,9 +409,8 @@ def _single_batch_streaming(
             out_fps=fps_buf, out_top=top_buf, label=f"trials {lo}-{hi - 1}")
         with breakdown.timing(BUCKET_CPU), \
                 tracer.span("exec.chunk_aggregate"):
-            partial = aggregate_pass(fps_buf, top_buf, lengths, s,
-                                     segment_ids=valid_ids, n_segments=n_seg)
-            aggregator.add(lo, partial)
+            aggregator.add(lo, aggregate_runs(fps_buf, top_buf, lengths, s,
+                                              segment_ids=valid_ids))
         host_pool.give(fps_buf, top_buf)
 
     try:
@@ -427,6 +425,7 @@ def _single_batch_streaming(
                     members=group_members, first_alone=tournament is not None)
     finally:
         device.free(*(d_elems + d_indptrs + d_gens))
+    _release_scratch(group_members)
 
     if use_dev_agg and aggregator.n_partials:
         # The device merge charges its own gpu/g2c/cpu buckets internally —
@@ -545,6 +544,7 @@ def _multi_batch_accumulate(
         if uploader is not None:
             uploader.shutdown(wait=True)
         device.free(*d_tables.values())
+    _release_scratch(group_members)
 
     with breakdown.timing(BUCKET_CPU), \
             tracer.span("exec.aggregate", n_splits=len(split_chunks)):

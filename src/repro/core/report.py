@@ -17,6 +17,8 @@ label-propagation bulk union.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from repro.core.params import (
@@ -150,6 +152,18 @@ def _phase3_edges(pass1: PassResult, pass2: PassResult,
     return np.concatenate(src_parts), np.concatenate(dst_parts)
 
 
+@contextlib.contextmanager
+def _host_step(tracer, name: str, device):
+    """Span one host step of Phase III; on the device path also charge it
+    to the cpu bucket (a host caller times the whole report itself)."""
+    with tracer.span(name):
+        if device is None:
+            yield
+        else:
+            with device.breakdown.timing(BUCKET_CPU):
+                yield
+
+
 def partition_labels(pass1: PassResult, pass2: PassResult, n_vertices: int,
                      backend: str = UNION_VECTORIZED,
                      include_generators: bool = False,
@@ -167,24 +181,16 @@ def partition_labels(pass1: PassResult, pass2: PassResult, n_vertices: int,
     """
     tracer = get_obs().tracer
     if backend == UNION_VECTORIZED:
-        if device is not None:
-            with device.breakdown.timing(BUCKET_CPU):
-                src, dst = _phase3_edges(pass1, pass2, include_generators)
-            with tracer.span("phase3.union", backend=backend,
-                             n_vertices=n_vertices,
-                             n_union_edges=int(src.size)):
-                roots = union_edges(n_vertices, src, dst, device=device)
-            with device.breakdown.timing(BUCKET_CPU):
-                _, labels = np.unique(roots, return_inverse=True)
-                return labels.astype(np.int64)
-        src, dst = _phase3_edges(pass1, pass2, include_generators)
+        with _host_step(tracer, "phase3.edges", device):
+            src, dst = _phase3_edges(pass1, pass2, include_generators)
         with tracer.span("phase3.union", backend=backend,
                          n_vertices=n_vertices, n_union_edges=int(src.size)):
-            roots = union_edges(n_vertices, src, dst)
-        # roots[i] is the min vertex id of i's set, so np.unique's sorted
-        # order equals order of first appearance — inverse is canonical.
-        _, labels = np.unique(roots, return_inverse=True)
-        return labels.astype(np.int64)
+            roots = union_edges(n_vertices, src, dst, device=device)
+        with _host_step(tracer, "phase3.labels", device):
+            # roots[i] is the min vertex id of i's set, so np.unique's sorted
+            # order equals order of first appearance — inverse is canonical.
+            _, labels = np.unique(roots, return_inverse=True)
+            return labels.astype(np.int64)
     offsets, flat = _phase3_groups(pass1, pass2, include_generators)
     if backend == UNION_UNIONFIND:
         with tracer.span("phase3.union", backend=backend,

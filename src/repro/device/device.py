@@ -503,10 +503,10 @@ class SimulatedDevice:
         :func:`repro.device.kernels.chunk_reduce` on the device: the raw
         ``(t, n_seg, s)`` occurrence block is sorted and deduplicated
         *before* transfer, so the host downloads a compacted
-        ``(k_chunk,)``-shaped partial (fingerprint-sorted, with first-
-        occurrence member rows and ready-made generator lists) instead of
+        ``(k_chunk,)``-shaped partial (distinct runs with first-occurrence
+        member rows and positions and ready-made generator lists) instead of
         the dense arrays — cutting g2c bytes from O(t*n*(s+1)*8) to
-        roughly O(t*n*4 + k*(8+4*s+4)).
+        roughly O(t*n*4 + k*(8+4*s+4+8)).
 
         The selection runs on one of two executors with identical output:
 
@@ -528,9 +528,10 @@ class SimulatedDevice:
         the driver checks both.  ``d_gen_ids`` is the device-resident uint32
         table mapping columns to original segment ids.
 
-        Returns host arrays ``(fps, members, gen_counts, gens)`` in the
-        wire dtypes of ``chunk_reduce`` (uint64/uint32).  With
-        ``resident=True`` the four outputs stay on the device and their
+        Returns host arrays ``(fps, members, gen_counts, gens, first_pos)``
+        in the wire dtypes of ``chunk_reduce``: the chunk's runs in key
+        order, which :func:`~repro.device.kernels.merge_runs` sorts.  With
+        ``resident=True`` the five outputs stay on the device and their
         :class:`DeviceBuffer` handles are returned instead — nothing crosses
         the PCIe link; :meth:`aggregate_merge` later consumes (and frees)
         the resident partials and downloads only the final merged result.
@@ -584,20 +585,19 @@ class SimulatedDevice:
         kernels.recover_top_ids(top32, a, b, prime, out_ids=top_ids,
                                 scratch=pool, has_sentinels=False)
         permuted = executor == "tournament"
-        fps, members, gen_counts, gens = kernels.chunk_reduce(
+        runs = kernels.chunk_reduce(
             top_ids, np.asarray(salts, dtype=np.uint64),
             d_gen_ids.device_view(), n_values, scratch=pool,
             col_ids=plan.perm_cols if permuted else None,
             col_to_row=plan.col_to_row if permuted else None)
-        d_out = [self.memory.adopt(arr)
-                 for arr in (fps, members, gen_counts, gens)]
+        d_out = [self.memory.adopt(arr) for arr in runs]
         t1 = time.perf_counter()
         self.breakdown.add(BUCKET_GPU, t1 - t0)
         tracer = self.obs.tracer
         if tracer.enabled:
             tracer.record("device.shingle_chunk_reduce", t0, t1, proc=self.proc,
                           attrs={"trials": t, "nnz": nnz, "n_seg": n_seg,
-                                 "k_chunk": int(fps.size),
+                                 "k_chunk": int(runs[0].size),
                                  "executor": executor, "label": label})
         transform_s = self.spec.kernels.seconds_for("transform", t * nnz)
         select_s = self.spec.kernels.seconds_for(
@@ -641,73 +641,34 @@ class SimulatedDevice:
         """Merge device-resident ``chunk_reduce`` partials on the device.
 
         ``parts`` is a list of ``(owner, buffers)`` tuples in ascending
-        trial order, where ``buffers`` is the 4-tuple of resident
+        trial order, where ``buffers`` is the 5-tuple of resident
         :class:`DeviceBuffer` handles returned by
         :meth:`shingle_chunk_reduce` with ``resident=True`` (``owner`` is
         the producing device — ignored here, used by
-        :class:`~repro.device.group.DeviceGroup`).  Runs the
-        ``agg_sort``/``agg_boundaries``/``agg_invert`` group-by kernels over
-        the concatenated runs and downloads only the merged result, so the
-        per-chunk partial bytes never cross the PCIe link.  The merge is the
-        exact device analogue of the host StreamingAggregator's stable
-        sorted-run merge — bit-identical output by construction.
+        :class:`~repro.device.group.DeviceGroup`).  Runs
+        :func:`~repro.device.kernels.merge_runs` — the same group-by the
+        host merge runs — as one ``agg_merge`` kernel and downloads only
+        the merged result, so the per-chunk partial bytes never cross the
+        PCIe link.
 
         Returns host arrays ``(fps, members, gen_counts, gens)`` in the
         ``chunk_reduce`` wire dtypes; all input buffers are freed.
         """
         bufs = [part[1] for part in parts]
         part_bytes = sum(b.nbytes for part in bufs for b in part)
-        fp_parts = [part[0].device_view() for part in bufs]
-        k_in = sum(fp.size for fp in fp_parts)
-        tracer = self.obs.tracer
-        if k_in == 0:
-            for part in bufs:
-                self.free(*part)
-            return (np.empty(0, dtype=np.uint64),
-                    np.empty((0, s), dtype=np.uint32),
-                    np.empty(0, dtype=np.uint32),
-                    np.empty(0, dtype=np.uint32))
-        if len(bufs) == 1:
-            # Single partial: nothing to merge, the deferred download is the
-            # only remaining work.
-            host = tuple(self.download(b) for b in bufs[0])
-            self.free(*bufs[0])
-            if tracer.enabled:
-                t_now = time.perf_counter()
-                tracer.record("device.aggregate", t_now, t_now,
-                              proc=self.proc,
-                              attrs={"parts": 1, "k_in": k_in,
-                                     "k_out": k_in, "bytes_saved": 0,
-                                     "label": label})
-            return host
-
-        member_parts = [part[1].device_view() for part in bufs]
-        count_parts = [part[2].device_view() for part in bufs]
-        gen_parts = [part[3].device_view() for part in bufs]
-        nnz_in = sum(g.size for g in gen_parts)
-
+        views = [tuple(b.device_view() for b in part) for part in bufs]
+        k_in = sum(view[0].size for view in views)
+        nnz_in = sum(view[3].size for view in views)
         t0 = time.perf_counter()
-        fp_cat, order = kernels.agg_sort(fp_parts)
-        fp_sorted, run_starts, inverse = kernels.agg_boundaries(fp_cat, order)
-        uniq = fp_sorted[run_starts]
-        members_cat = np.concatenate(member_parts)
-        members = members_cat[order[run_starts]]
-        gen_counts, gens = kernels.agg_invert(inverse, count_parts,
-                                              gen_parts, uniq.size)
-        d_out = [self.memory.adopt(arr)
-                 for arr in (uniq, members, gen_counts, gens)]
+        merged = kernels.merge_runs(views)
+        d_out = [self.memory.adopt(arr) for arr in merged]
         for part in bufs:
             self.free(*part)
         t1 = time.perf_counter()
         self.breakdown.add(BUCKET_GPU, t1 - t0)
 
-        sort_s = self.spec.kernels.seconds_for("agg_sort", k_in)
-        bounds_s = self.spec.kernels.seconds_for("agg_boundaries", k_in)
-        invert_s = self.spec.kernels.seconds_for("agg_invert", nnz_in)
-        self._record_kernel("agg_sort", k_in, sort_s)
-        self._record_kernel("agg_boundaries", k_in, bounds_s)
-        self._record_kernel("agg_invert", nnz_in, invert_s)
-        modeled_gpu = sort_s + bounds_s + invert_s
+        modeled_gpu = self.spec.kernels.seconds_for("agg_merge", k_in + nnz_in)
+        self._record_kernel("agg_merge", k_in + nnz_in, modeled_gpu)
         self.breakdown.add_modeled(BUCKET_GPU, modeled_gpu)
         if self.timeline is not None:
             self.timeline.record(BUCKET_GPU, label, modeled_gpu)
@@ -716,10 +677,11 @@ class SimulatedDevice:
         bytes_saved = max(0, part_bytes - final_bytes)
         self.obs.metrics.counter(
             f"{self.metric_prefix}.aggregate.bytes_saved").add(bytes_saved)
+        tracer = self.obs.tracer
         if tracer.enabled:
             tracer.record("device.aggregate", t0, t1, proc=self.proc,
                           attrs={"parts": len(bufs), "k_in": k_in,
-                                 "k_out": int(uniq.size),
+                                 "k_out": int(merged[0].size),
                                  "bytes_saved": bytes_saved, "label": label})
         host = tuple(self.download(buf) for buf in d_out)
         self.free(*d_out)

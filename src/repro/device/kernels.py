@@ -36,9 +36,9 @@ Kernel inventory
 ``chunk_reduce``
     On-device sort-dedup reduction: groups one trial chunk's ``(t, n)``
     shingle occurrences by packed ``(trial, member-tuple, column)`` keys so
-    only the ``k`` distinct shingles (fingerprint-sorted, with first-
-    occurrence members and ready-made generator lists) ship back to the
-    host.
+    only the ``k`` distinct shingles (in key order, with first-occurrence
+    members and positions and ready-made generator lists) ship back to
+    the host.
 ``segmented_sort_top_s``
     ``thrust::sort`` analogue: stable segmented sort, then take each
     segment's first ``s`` entries.  Reference implementation; the sort is a
@@ -59,12 +59,11 @@ Kernel inventory
 ``segment_element_ids``
     Auxiliary iota: the segment id of every element — computed once per
     batch and reused by every selection round.
-``agg_sort`` / ``agg_boundaries`` / ``agg_invert``
-    Inter-pass aggregation group-by: merge the per-chunk sorted fingerprint
-    runs from ``chunk_reduce`` (stable argsort over the concatenation),
-    flag run boundaries + build the group inverse, and invert the generator
-    lists into one bipartite CSR — the device analogue of the host
-    StreamingAggregator merge, bit-identical by construction.
+``merge_runs``
+    Inter-pass aggregation: one unstable fingerprint argsort over a pass's
+    ``chunk_reduce`` runs plus gathers.  Trial salts keep different trials'
+    fingerprints apart, so runs almost never collide; an exact fallback
+    collapses the ones that do.  Host and device merges both run it.
 ``cc_hook`` / ``cc_jump``
     Phase III connected components: one min-label hooking round (atomic-min
     scatter over the edge list) and one pointer-jumping round
@@ -682,7 +681,8 @@ def chunk_reduce(top_ids: np.ndarray, salts: np.ndarray, gen_ids: np.ndarray,
     AND ascending by column without needing a stable sort, so the first
     element of each run is the first occurrence and each run's column list
     is already the sorted, duplicate-free generator list.  Fingerprints are
-    folded only for the ``k`` distinct shingles.
+    folded only for the ``k`` distinct shingles; the runs stay in key order
+    and :func:`merge_runs` sorts a whole pass's runs by fingerprint once.
 
     The caller must guarantee :func:`reduce_keys_fit` and that ``top_ids``
     contains no sentinel entries (all segments have length >= s — the device
@@ -706,17 +706,20 @@ def chunk_reduce(top_ids: np.ndarray, salts: np.ndarray, gen_ids: np.ndarray,
         ``arange(n)``), and ``col_to_row`` (``(n,)`` int64) maps an original
         column back to its permuted row for the member gather.  Because the
         key then carries original ids, the global sort canonicalizes order
-        and every output — including collision-merge tiebreaks, which use
-        original flat positions — is bit-identical to the unpermuted call.
+        and every output — first positions included — is bit-identical to
+        the unpermuted call.
 
     Returns
     -------
-    (fps, members, gen_counts, gens):
-        ``fps`` — ``(k,)`` uint64, strictly ascending; ``members`` —
-        ``(k, s)`` uint32 first-occurrence member rows; ``gen_counts`` —
-        ``(k,)`` uint32 generator-list lengths; ``gens`` — concatenated
-        uint32 generator lists in ``fps`` order (``t*n`` entries total).
-        Exactly what host-side ``aggregate_pass`` would distill from the
+    (fps, members, gen_counts, gens, first_pos):
+        One entry per distinct ``(trial, tuple)`` run, in key order:
+        ``fps`` — ``(k,)`` uint64 fingerprints; ``members`` — ``(k, s)``
+        uint32 first-occurrence member rows; ``gen_counts`` — ``(k,)``
+        uint32 generator-list lengths; ``gens`` — concatenated uint32
+        generator lists (``t*n`` entries total); ``first_pos`` — ``(k,)``
+        int64 flat position ``trial * n + column`` of each run's first
+        occurrence.  :func:`merge_runs` turns one or more of these into
+        exactly what host-side ``aggregate_pass`` would distill from the
         dense ``(t, n)`` arrays, at O(k) download size.
     """
     top_ids = np.asarray(top_ids, dtype=np.uint64)
@@ -726,7 +729,8 @@ def chunk_reduce(top_ids: np.ndarray, salts: np.ndarray, gen_ids: np.ndarray,
     total = t * n
     if total == 0:
         return (np.empty(0, dtype=np.uint64), np.empty((0, s), dtype=np.uint32),
-                np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32))
+                np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32),
+                np.empty(0, dtype=np.int64))
     m_pow_s = np.uint64(n_values ** s)
     n64 = np.uint64(n)
     key = _take(scratch, (t, n), np.uint64)
@@ -761,51 +765,81 @@ def chunk_reduce(top_ids: np.ndarray, salts: np.ndarray, gen_ids: np.ndarray,
     start_keys = skey[run_start]
     col = (start_keys % n64).astype(np.int64)
     trial = (gkey[run_start] // m_pow_s).astype(np.int64)
-    flatpos = trial * n + col
-    gather_pos = flatpos if col_to_row is None else trial * n + col_to_row[col]
-    members = top_ids.reshape(total, s)[gather_pos]
+    first_pos = trial * n + col
+    gather_pos = first_pos if col_to_row is None else trial * n + col_to_row[col]
+    members = np.take(top_ids.reshape(total, s), gather_pos, axis=0)
     fps = fold_fingerprint_array(members, salts[trial])
 
     # Column -> generator id for every occurrence, still in key order (runs
     # contiguous, columns ascending within each run).  ``take`` wants intp
-    # indices; one explicit cast beats the fancy-index path's internal one.
+    # indices; the columns fit, so a view reinterprets them for free.
     np.remainder(skey, n64, out=gkey)
-    gens_all = np.take(np.asarray(gen_ids, dtype=np.uint32),
-                       gkey.astype(np.int64))
-
-    order = np.argsort(fps, kind="quicksort")
-    fps_sorted = fps[order]
-    counts_o = counts[order]
-    # Reorder the runs of gens_all to fingerprint order with ONE repeat:
-    # position j inside fp-ordered run r maps to run_start[order][r] + rank,
-    # and rank == j - (fp-ordered run offset), so the gather index is just
-    # j plus a per-run shift broadcast over the run.
-    shift = run_start[order]
-    np.subtract(shift, np.cumsum(counts_o), out=shift)
-    np.add(shift, counts_o, out=shift)
-    positions = np.repeat(shift, counts_o)
-    positions += np.arange(total, dtype=np.int64)
-    gens = np.take(gens_all, positions)
-    # Narrow before the row gather: ids fit uint32, so permuting the
-    # narrowed rows moves half the bytes of permute-then-cast.
-    members_o = members.astype(np.uint32)[order]
+    gens = np.take(np.asarray(gen_ids, dtype=np.uint32), gkey.view(np.int64))
     _give(scratch, key, gkey_buf)
+    return (fps, members.astype(np.uint32), counts.astype(np.uint32), gens,
+            first_pos)
 
-    if k > 1 and np.any(fps_sorted[1:] == fps_sorted[:-1]):
-        # Cross-trial (or cross-tuple) fingerprint collision within the
-        # chunk — astronomically rare.  Merge the colliding runs exactly as
-        # the dense np.unique path would: first occurrence in trial-major
-        # order wins the member row; generator lists union.
-        return _merge_fp_collisions(fps_sorted, members_o, counts_o, gens,
-                                    flatpos[order])
-    return fps_sorted, members_o, counts_o.astype(np.uint32), gens
+
+def merge_runs(parts: list[tuple]) -> tuple[np.ndarray, np.ndarray,
+                                           np.ndarray, np.ndarray]:
+    """Group-by of a pass's chunk partials into the fingerprint-sorted result.
+
+    ``parts`` holds one ``(fps, members, gen_counts, gens, first_pos)``
+    partial per trial chunk, in ascending trial order: the runs
+    :func:`chunk_reduce` emits (or the host's
+    :func:`repro.core.aggregate.aggregate_runs`), each a distinct
+    shingle identity with its member row, its sorted generator list and
+    the chunk-local flat position ``trial * n + column`` of its first
+    occurrence.
+
+    Every trial salts its fingerprints, so two runs almost never share
+    one: the merge is one unstable argsort over the concatenated
+    fingerprints and gathers of the other fields — the generator lists
+    move with one repeat-offset gather.  Only when adjacent sorted
+    fingerprints are equal does :func:`_merge_fp_collisions` collapse them
+    exactly: the first occurrence in trial-major order (part, then first
+    position) keeps its member row and the generator lists are unioned.
+
+    Returns ``(fps, members, gen_counts, gens)``: ``fps`` strictly
+    ascending, the rest in the partials' dtypes (``gen_counts`` uint32).
+    """
+    fps, members, counts, gens, first_pos = (
+        np.concatenate(field) for field in zip(*parts))
+    counts = counts.astype(np.int64)
+    if fps.size == 0:
+        return fps, members, counts.astype(np.uint32), gens
+    order = np.argsort(fps, kind="quicksort")
+    fps_sorted = np.take(fps, order)
+    counts_o = np.take(counts, order)
+    # Reorder the generator runs with ONE repeat: position j inside sorted
+    # run r maps to run_start[order[r]] + rank, and rank == j - (sorted run
+    # offset), so the gather index is j plus a per-run shift.
+    ends_o = np.cumsum(counts_o)
+    shift = np.take(np.cumsum(counts) - counts, order)
+    shift -= ends_o
+    shift += counts_o
+    positions = np.repeat(shift, counts_o)
+    positions += np.arange(positions.size, dtype=np.int64)
+    gens_sorted = np.take(gens, positions)
+    members_sorted = np.take(members, order, axis=0)
+    if fps.size > 1 and np.any(fps_sorted[1:] == fps_sorted[:-1]):
+        part_of = np.repeat(np.arange(len(parts)),
+                            [part[0].size for part in parts])
+        return _merge_fp_collisions(
+            fps_sorted, members_sorted, counts_o, gens_sorted,
+            (np.take(first_pos, order), np.take(part_of, order)))
+    return fps_sorted, members_sorted, counts_o.astype(np.uint32), gens_sorted
 
 
 def _merge_fp_collisions(fps: np.ndarray, members: np.ndarray,
                          counts: np.ndarray, gens: np.ndarray,
-                         flatpos: np.ndarray
+                         first_keys: tuple[np.ndarray, ...]
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse adjacent equal-fingerprint runs (cold path, k-sized)."""
+    """Collapse adjacent equal-fingerprint runs (cold path, k-sized).
+
+    ``first_keys`` orders the runs by first occurrence, most significant
+    key last (``np.lexsort`` convention).
+    """
     k = fps.size
     is_new = np.empty(k, dtype=bool)
     is_new[0] = True
@@ -813,7 +847,7 @@ def _merge_fp_collisions(fps: np.ndarray, members: np.ndarray,
     group = np.cumsum(is_new) - 1
     n_groups = int(group[-1]) + 1
     # Representative row per group: the globally-first occurrence.
-    rep_order = np.lexsort((flatpos, group))
+    rep_order = np.lexsort((*first_keys, group))
     reps = rep_order[np.searchsorted(group[rep_order], np.arange(n_groups))]
     # Union the generator lists with one packed-key sort + dedup.
     entry_groups = np.repeat(group, counts).astype(np.uint64)
@@ -825,79 +859,32 @@ def _merge_fp_collisions(fps: np.ndarray, members: np.ndarray,
     kept = keys[keep]
     gen_counts = np.bincount((kept >> _ID_BITS).astype(np.int64),
                              minlength=n_groups).astype(np.uint32)
-    return (fps[is_new], members[reps], gen_counts,
-            (kept & _ID_MASK).astype(np.uint32))
+    return (fps[is_new], np.take(members, reps, axis=0), gen_counts,
+            (kept & _ID_MASK).astype(gens.dtype))
 
 
-def agg_sort(fp_parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Merge the sorted per-chunk fingerprint runs into one global order.
+def unique_first(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True, return_inverse=True)``, faster.
 
-    A real device would run a segmented merge over the already-sorted runs;
-    here one stable argsort over the concatenation produces the identical
-    permutation (stability preserves within-run — i.e. chunk — order, which
-    is what makes the first element of each run the globally-first
-    occurrence downstream).
-
-    Returns ``(fp_cat, order)``: the concatenated fingerprints and the
-    stable sort permutation.
+    ``np.unique`` sorts stably so that each group's first sorted element
+    is its first occurrence; here one unstable argsort groups the keys
+    and ``np.minimum.reduceat`` of the permutation over each run picks the
+    smallest index instead.  Returns ``(uniq, first_idx, inverse)``.
     """
-    fp_cat = np.concatenate(fp_parts)
-    order = np.argsort(fp_cat, kind="stable")
-    return fp_cat, order
-
-
-def agg_boundaries(fp_cat: np.ndarray, order: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run boundaries + group inverse over the globally-sorted fingerprints.
-
-    Returns ``(fp_sorted, run_starts, inverse)`` where ``run_starts`` indexes
-    the first (globally-first-occurrence) entry of each distinct fingerprint
-    in the sorted order and ``inverse[i]`` is the dense group id of
-    concatenated entry ``i`` — exactly the host merge's scatter
-    ``inverse[order] = cumsum(is_start) - 1``.
-    """
-    fp_sorted = fp_cat[order]
-    n = fp_cat.size
+    keys = np.asarray(keys)
+    n = keys.size
+    if n == 0:
+        return keys.copy(), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    order = np.argsort(keys, kind="quicksort")
+    keys_sorted = np.take(keys, order)
     is_start = np.empty(n, dtype=bool)
     is_start[0] = True
-    np.not_equal(fp_sorted[1:], fp_sorted[:-1], out=is_start[1:])
+    np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=is_start[1:])
     run_starts = np.flatnonzero(is_start)
-    inverse = np.empty(n, dtype=np.int64)
+    inverse = np.empty(n, dtype=np.intp)
     inverse[order] = np.cumsum(is_start) - 1
-    return fp_sorted, run_starts, inverse
-
-
-def agg_invert(inverse: np.ndarray, count_parts: list[np.ndarray],
-               gen_parts: list[np.ndarray], n_groups: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Union the per-chunk generator lists per merged fingerprint group.
-
-    Re-keys every generator entry by its merged group id (packed
-    ``group << 32 | gen``), sorts, and drops adjacent duplicates — the same
-    packed-key group-by as the host merge and :func:`_merge_fp_collisions`,
-    so the resulting ``(gen_counts, gens)`` pair is bit-identical to the
-    host StreamingAggregator's bipartite CSR payload.
-    """
-    keys_parts = []
-    offset = 0
-    for counts, gens in zip(count_parts, gen_parts):
-        k = counts.size
-        entry_groups = np.repeat(inverse[offset:offset + k].astype(np.uint64),
-                                 counts)
-        keys_parts.append((entry_groups << _ID_BITS) | gens.astype(np.uint64))
-        offset += k
-    keys = np.concatenate(keys_parts)
-    if keys.size == 0:
-        return (np.zeros(n_groups, dtype=np.uint32),
-                np.empty(0, dtype=np.uint32))
-    keys.sort(kind="stable")
-    keep = np.empty(keys.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    kept = keys[keep]
-    gen_counts = np.bincount((kept >> _ID_BITS).astype(np.int64),
-                             minlength=n_groups).astype(np.uint32)
-    return gen_counts, (kept & _ID_MASK).astype(np.uint32)
+    return (keys_sorted[run_starts], np.minimum.reduceat(order, run_starts),
+            inverse)
 
 
 def cc_hook(labels: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:

@@ -48,11 +48,10 @@ class KernelCostModel:
     DP cells.
 
     The inter-pass aggregation and Phase III offloads add their own classes:
-    ``agg_sort`` (merging already-sorted fingerprint runs — cheaper than a
-    from-scratch radix sort), ``agg_boundaries`` (run-boundary flags plus the
-    inverse scatter, a scan-class pass), ``agg_invert`` (the generator-list
-    re-key + sort + dedup group-by), ``cc_hook`` (atomic-min edge scatter of
-    one hooking round) and ``cc_jump`` (the ``labels[labels]`` gather of one
+    ``agg_merge`` (one fingerprint sort over a pass's chunk runs plus the
+    gathers that move their members and generator lists, charged per run
+    and per generator entry), ``cc_hook`` (atomic-min edge scatter of one
+    hooking round) and ``cc_jump`` (the ``labels[labels]`` gather of one
     pointer-jumping round).
 
     ``launch_latency_s`` models the *per-launch* host dispatch cost, so
@@ -67,9 +66,7 @@ class KernelCostModel:
     sort_eps: float = 1.0e9
     select_eps: float = 8e9
     reduce_eps: float = 20e9
-    agg_sort_eps: float = 1.2e9
-    agg_scan_eps: float = 10e9
-    agg_invert_eps: float = 1.5e9
+    agg_merge_eps: float = 1.2e9
     cc_hook_eps: float = 2.0e9
     cc_jump_eps: float = 8.0e9
 
@@ -81,9 +78,7 @@ class KernelCostModel:
                 "sort": self.sort_eps,
                 "select": self.select_eps,
                 "reduce": self.reduce_eps,
-                "agg_sort": self.agg_sort_eps,
-                "agg_boundaries": self.agg_scan_eps,
-                "agg_invert": self.agg_invert_eps,
+                "agg_merge": self.agg_merge_eps,
                 "cc_hook": self.cc_hook_eps,
                 "cc_jump": self.cc_jump_eps,
             }

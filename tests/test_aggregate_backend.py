@@ -1,16 +1,19 @@
 """Device-backed inter-pass aggregation — bit-identity and fallbacks.
 
-The ``aggregate_backend`` switch must never change a result: the sort-based
-group-by kernels (``agg_sort``/``agg_boundaries``/``agg_invert``) and the
-on-device Phase III must produce bit-identical :class:`PassResult`s and
+The ``aggregate_backend`` switch must never change a result: the
+``agg_merge`` group-by kernel and the on-device Phase III must produce bit-identical :class:`PassResult`s and
 cluster labels across backends, execution modes and device counts — and the
 forced-``device`` backend must silently degrade to the host path whenever
 its prerequisites (the on-device chunk reduction, a single batch, resident
 fit) are missing.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregate import StreamingAggregator
 from repro.core.device_exec import device_shingle_pass
@@ -20,7 +23,9 @@ from repro.core.params import (
 )
 from repro.core.pipeline import GpClust, SerialPClust
 from repro.device.device import SimulatedDevice
+from repro.core.serial import serial_shingle_pass
 from repro.device.group import DeviceGroup
+from repro.device.kernels import unique_first
 from repro.obs import observe, use_obs
 from repro.synthdata.planted import PlantedFamilyConfig, planted_family_graph
 
@@ -71,6 +76,53 @@ class TestBitIdentity:
             graph.indptr, graph.indices, params.pass_config(1), device,
             kernel="fused", trial_chunk=2, plan=params.execution_plan())
         assert got == ref
+
+
+class TestCrossChunkCollisions:
+    """One salt for every trial: equal member tuples of different trials
+    share a fingerprint, so the merge's collision fallback must run across
+    chunks (``trial_chunk`` 1) and within them (``trial_chunk`` 2)."""
+
+    @pytest.mark.parametrize("trial_chunk", [1, 2])
+    @pytest.mark.parametrize("backend", ["host", "device"])
+    @pytest.mark.parametrize("devices", [1, 2])
+    def test_equal_salts_match_serial(self, planted, trial_chunk, backend,
+                                      devices):
+        graph = planted.graph
+        params = BASE.with_overrides(aggregate_backend=backend,
+                                     devices=devices)
+        config = params.pass_config(1)
+        config = dataclasses.replace(
+            config, salts=np.full(config.c, config.salts[0]))
+        ref = serial_shingle_pass(graph.indptr, graph.indices, config)
+        salted = serial_shingle_pass(graph.indptr, graph.indices,
+                                     params.pass_config(1))
+        assert ref.n_shingles < salted.n_shingles  # collisions did happen
+        obs = observe()
+        with use_obs(obs):
+            device = (DeviceGroup(devices) if devices > 1
+                      else SimulatedDevice())
+            got = device_shingle_pass(
+                graph.indptr, graph.indices, config, device, kernel="fused",
+                trial_chunk=trial_chunk, plan=params.execution_plan())
+        assert got == ref
+        merged_on_device = any(r.name == "device.aggregate"
+                               for r in obs.tracer.records)
+        assert merged_on_device == (backend == "device")
+
+
+class TestUniqueFirst:
+    @given(st.lists(st.integers(0, 6), max_size=40))
+    @example([])
+    @example([5])
+    @example([3, 3, 3, 3])
+    @settings(max_examples=60, deadline=None)
+    def test_matches_np_unique(self, values):
+        keys = np.asarray(values, dtype=np.uint64)
+        want = np.unique(keys, return_index=True, return_inverse=True)
+        got = unique_first(keys)
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g)
 
 
 class TestFallbacks:
@@ -128,8 +180,7 @@ class TestObservability:
         assert counters["device.cc.edges"] >= 0
         assert counters.get("device.aggregate.bytes_saved", 0) >= 0
         stats = device.kernel_stats
-        for name in ("agg_sort", "agg_boundaries", "agg_invert",
-                     "cc_hook", "cc_jump"):
+        for name in ("agg_merge", "cc_hook", "cc_jump"):
             assert stats[name]["launches"] >= 1, name
 
     def test_group_counters(self, planted):
@@ -144,7 +195,8 @@ class TestAggregatorGuards:
     def test_mixed_host_and_resident_rejected(self):
         agg = StreamingAggregator(2, 4, device=SimulatedDevice())
         agg.add(0, (np.zeros(0, np.uint64), np.zeros((0, 2), np.uint32),
-                    np.zeros(0, np.uint32), np.zeros(0, np.uint32)))
+                    np.zeros(0, np.uint32), np.zeros(0, np.uint32),
+                    np.zeros(0, np.int64)))
         agg.add_resident(1, None, ())
         with pytest.raises(ValueError, match="mix"):
             agg.result()

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregate import StreamingAggregator, aggregate_pass
+from repro.core.aggregate import (StreamingAggregator, aggregate_pass,
+                                  aggregate_runs)
 from repro.core.device_exec import device_shingle_pass
 from repro.core.execplan import EXEC_MODES, ExecutionPlan
 from repro.core.params import ShinglingParams
@@ -187,22 +188,32 @@ class TestExecModeEquivalence:
 
     def test_scratch_pool_zero_alloc_steady_state(self, blocky_graph,
                                                   small_params):
-        """After warm-up, repeated same-geometry rounds allocate nothing new.
+        """Within a pass, equal-geometry chunks after the first allocate
+        nothing new; after the pass the pool holds no buffers.
 
         The scratch-pool counters are the observable contract of the
-        zero-alloc hot path: every take() after round one must be a reuse.
+        zero-alloc hot path: every take() after the first chunk must be a
+        reuse.  The pass gives its scratch back before it merges, since
+        the next pass has a different geometry.
         """
         device = fresh_device()
         cfg = small_params.pass_config(1)
+        allocs = []
+        chunk = device.shingle_chunk
+
+        def counted(*args, **kwargs):
+            out = chunk(*args, **kwargs)
+            allocs.append(device.scratch.n_allocations)
+            return out
+
+        device.shingle_chunk = counted
         device_shingle_pass(blocky_graph.indptr, blocky_graph.indices, cfg,
-                            device, trial_chunk=8)
-        warm_allocs = device.scratch.n_allocations
-        assert warm_allocs > 0  # the pool is actually in the hot path
-        for _ in range(3):
-            device_shingle_pass(blocky_graph.indptr, blocky_graph.indices,
-                                cfg, device, trial_chunk=8)
-        assert device.scratch.n_allocations == warm_allocs
+                            device, trial_chunk=5)
+        assert cfg.c == 20 and len(allocs) == 4  # four equal chunks
+        assert allocs[0] > 0  # the pool is actually in the hot path
+        assert allocs == [allocs[0]] * 4
         assert device.scratch.n_reuses > 0
+        assert device.scratch.bytes_pooled == 0
 
 
 class TestMultiBatchMatrix:
@@ -281,7 +292,7 @@ class TestStreamingAggregation:
         bounds = [0] + sorted(b for b in cuts if b < c) + [c]
         agg = StreamingAggregator(s, n_rows)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            agg.add(lo, aggregate_pass(fps[lo:hi], top[lo:hi], lengths, s))
+            agg.add(lo, aggregate_runs(fps[lo:hi], top[lo:hi], lengths, s))
         assert agg.result() == whole
 
     def test_out_of_order_adds(self):
@@ -290,7 +301,7 @@ class TestStreamingAggregation:
         whole = aggregate_pass(fps, top, lengths, 2)
         agg = StreamingAggregator(2, 6)
         for lo, hi in [(6, 9), (0, 3), (3, 6)]:  # arrival order shuffled
-            agg.add(lo, aggregate_pass(fps[lo:hi], top[lo:hi], lengths, 2))
+            agg.add(lo, aggregate_runs(fps[lo:hi], top[lo:hi], lengths, 2))
         assert agg.result() == whole
 
     @given(st.integers(0, 10_000), st.data())
@@ -314,7 +325,7 @@ class TestStreamingAggregation:
         agg = StreamingAggregator(s, n_rows)
         for idx in order:
             lo, hi = chunks[idx]
-            agg.add(lo, aggregate_pass(fps[lo:hi], top[lo:hi], lengths, s))
+            agg.add(lo, aggregate_runs(fps[lo:hi], top[lo:hi], lengths, s))
         assert agg.result() == whole
 
 

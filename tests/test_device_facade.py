@@ -181,6 +181,7 @@ class TestShingleChunkReduce:
 
     def test_matches_dense_aggregation(self, device):
         from repro.core.aggregate import aggregate_pass
+        from repro.device.kernels import merge_runs
 
         # all lists valid (length >= s): the reduce path's precondition
         lists = [[3, 9, 14, 2], [5, 6], [1, 2, 3, 4, 5, 6, 7], [9, 14]]
@@ -190,7 +191,8 @@ class TestShingleChunkReduce:
                                               trial_chunk=6)
         ref = aggregate_pass(fps_dense, top_dense,
                              np.array([len(x) for x in lists]), 2)
-        cfg, (fps, members, counts, gens) = self._run_reduce(device, lists)
+        cfg, runs = self._run_reduce(device, lists)
+        fps, members, counts, gens = merge_runs([runs])
         assert np.array_equal(fps, ref.fingerprints)
         assert np.array_equal(members.astype(np.int64), ref.members)
         assert np.array_equal(gens.astype(np.int64), ref.gen_graph.indices)

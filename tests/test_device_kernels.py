@@ -18,6 +18,7 @@ from repro.device.kernels import (
     count_kernel_elements,
     fold_fingerprints,
     fused_hash,
+    merge_runs,
     pack_pairs,
     recover_top_ids,
     reduce_keys_fit,
@@ -326,8 +327,8 @@ class TestChunkReduce:
         top_ids, fps, top, salts, indptr = self._dense_chunk(rng, s=s)
         n_seg = indptr.size - 1
         gen_ids = np.arange(n_seg, dtype=np.uint32)
-        r_fps, r_members, r_counts, r_gens = chunk_reduce(
-            top_ids, salts, gen_ids, n_values=40)
+        r_fps, r_members, r_counts, r_gens = merge_runs(
+            [chunk_reduce(top_ids, salts, gen_ids, n_values=40)])
 
         ref = aggregate_pass(fps, top, np.diff(indptr), s)
         assert np.array_equal(r_fps, ref.fingerprints)
@@ -346,8 +347,8 @@ class TestChunkReduce:
         top_ids, fps, top, salts, indptr = self._dense_chunk(rng, s=s)
         n_seg = indptr.size - 1
         valid_ids = (np.arange(n_seg) * 3 + 1).astype(np.uint32)  # sparse ids
-        r_fps, r_members, r_counts, r_gens = chunk_reduce(
-            top_ids, salts, valid_ids, n_values=40)
+        r_fps, r_members, r_counts, r_gens = merge_runs(
+            [chunk_reduce(top_ids, salts, valid_ids, n_values=40)])
         ref = aggregate_pass(fps, top, np.diff(indptr), s,
                              segment_ids=valid_ids.astype(np.int64),
                              n_segments=3 * n_seg + 1)
@@ -355,8 +356,9 @@ class TestChunkReduce:
         assert np.array_equal(r_gens.astype(np.int64), ref.gen_graph.indices)
 
     def test_fingerprint_collision_fallback(self):
-        """Equal salts across trials force cross-trial fp collisions; the
-        merged output must still match the dense np.unique aggregation."""
+        """Equal salts across trials force cross-trial fp collisions, both
+        inside one chunk and across chunks; the merged output must still
+        match the dense np.unique aggregation."""
         from repro.core.aggregate import aggregate_pass
 
         rng = np.random.default_rng(11)
@@ -377,17 +379,48 @@ class TestChunkReduce:
                                   (t, n_seg, s)).copy()
         fps = fold_fingerprints(top_ids, salts)
         top_t = np.broadcast_to(top, (t, n_seg, s)).copy()
-        r_fps, r_members, r_counts, r_gens = chunk_reduce(
-            top_ids, salts, np.arange(n_seg, dtype=np.uint32), n_values=8)
+        gen_ids = np.arange(n_seg, dtype=np.uint32)
         ref = aggregate_pass(fps, top_t, lengths, s)
-        assert np.array_equal(r_fps, ref.fingerprints)
-        assert np.array_equal(r_members.astype(np.int64), ref.members)
-        assert np.array_equal(r_gens.astype(np.int64), ref.gen_graph.indices)
+        for cuts in [(0, 3), (0, 1, 3), (0, 1, 2, 3)]:
+            r_fps, r_members, r_counts, r_gens = merge_runs([
+                chunk_reduce(top_ids[lo:hi], salts[lo:hi], gen_ids,
+                             n_values=8)
+                for lo, hi in zip(cuts[:-1], cuts[1:])])
+            assert np.array_equal(r_fps, ref.fingerprints)
+            assert np.array_equal(r_members.astype(np.int64), ref.members)
+            assert np.array_equal(np.cumsum(r_counts),
+                                  ref.gen_graph.indptr[1:])
+            assert np.array_equal(r_gens.astype(np.int64),
+                                  ref.gen_graph.indices)
+
+    def test_merge_keeps_first_occurrence_on_collision(self):
+        """Colliding runs with different members: the earlier chunk wins,
+        then the smaller first position within a chunk; gens union."""
+        u32 = np.uint32
+        part_a = (np.array([5, 7], np.uint64), np.array([[1, 2], [3, 4]], u32),
+                  np.array([1, 1], u32), np.array([0, 1], u32),
+                  np.array([4, 1], np.int64))
+        part_b = (np.array([7, 5], np.uint64), np.array([[9, 9], [8, 8]], u32),
+                  np.array([2, 1], u32), np.array([0, 2, 3], u32),
+                  np.array([0, 2], np.int64))
+        fps, members, counts, gens = merge_runs([part_a, part_b])
+        assert fps.tolist() == [5, 7]
+        assert members.tolist() == [[1, 2], [3, 4]]
+        assert counts.tolist() == [2, 3]
+        assert gens.tolist() == [0, 3, 0, 1, 2]
+        part_c = (np.array([5, 5], np.uint64), np.array([[1, 1], [2, 2]], u32),
+                  np.array([1, 1], u32), np.array([4, 4], u32),
+                  np.array([3, 1], np.int64))
+        fps, members, counts, gens = merge_runs([part_c])
+        assert members.tolist() == [[2, 2]]
+        assert counts.tolist() == [1] and gens.tolist() == [4]
 
     def test_empty_chunk(self):
-        fps, members, counts, gens = chunk_reduce(
+        runs = chunk_reduce(
             np.empty((0, 0, 2), dtype=np.uint64),
             np.empty(0, dtype=np.uint64),
             np.empty(0, dtype=np.uint32), n_values=1)
+        fps, members, counts, gens = merge_runs([runs, runs])
         assert fps.size == 0 and members.shape == (0, 2)
         assert counts.size == 0 and gens.size == 0
+        assert runs[4].size == 0
